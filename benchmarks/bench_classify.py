@@ -14,7 +14,7 @@ Scenarios:
   function opens a new class, so there is nothing for dedup, caching,
   or membership probes to exploit and the honest expectation is ~1x.
 * ``kernel_on_off`` — the repeated-classes batch with the bit-parallel
-  bucketing kernels forced on (``kernel="batch"``) vs off
+  bucketing kernels on (``kernel="auto"``) vs off
   (``kernel="scalar"``); the groupings must match exactly (see also
   ``BENCH_kernels.json`` for the isolated kernel curves).
 * ``workers`` — the repeated-classes batch under 1, 2, and 4 worker
@@ -150,18 +150,18 @@ def main(argv=None) -> int:
 
     # -- kernel on/off ----------------------------------------------------
     # The same repeated-classes batch through the engine with the batch
-    # kernels forced on vs forced off; everything else (cache, workers,
+    # kernels on vs off; everything else (cache, workers,
     # matchers) identical, so the delta is the bucketing pipeline alone.
     t_scalar_k, result_sk = min(
         (run_engine(batch, kernel="scalar") for _ in range(trials)),
         key=lambda r: r[0],
     )
     t_batch_k, result_bk = min(
-        (run_engine(batch, kernel="batch") for _ in range(trials)),
+        (run_engine(batch, kernel="auto") for _ in range(trials)),
         key=lambda r: r[0],
     )
     assert same_grouping(base_keys, result_sk), "kernel=scalar diverged"
-    assert same_grouping(base_keys, result_bk), "kernel=batch diverged"
+    assert same_grouping(base_keys, result_bk), "kernel=auto diverged"
     report["scenarios"]["kernel_on_off"] = {
         "scalar_seconds": t_scalar_k,
         "batch_seconds": t_batch_k,

@@ -13,13 +13,6 @@ Scenarios, each swept over n in {4..10} and batch sizes {16, 256, 4096}:
   the batch side is ``batch_prekeys``, which yields both from one shared
   butterfly.  This is the path the classifier hits on every bucketing
   pass, and the acceptance target is >= 3x at n = 8, B = 256.
-* ``weights`` — per-function Hamming weights under both batch strategies
-  (``reduce``: packed butterfly; ``extract``: per-lane ``bit_count``)
-  against the scalar loop, to keep ``AUTO_REDUCE_MAX_N`` honest.
-* ``fprm`` — fixed-polarity Reed-Muller coefficient vectors for the
-  whole batch vs a ``fprm_coefficients`` loop (cache cleared per trial:
-  the scalar loop is memoised, the kernel is not, and the benchmark
-  measures cold transforms).
 * ``walsh`` — the packed bias-encoded Walsh butterfly vs the Python-list
   reference, one spectrum per function (B is the function count).
 
@@ -31,19 +24,6 @@ scalar references directly:
 * ``prekey_words`` — coarse pre-keys *plus* the full cofactor-weight
   vectors through the slab pipeline (the engine's bucketing payload);
   the acceptance target is >= 2x over scalar at every large cell.
-* ``weights_words`` — the cofactor-weight vectors alone, against the
-  raw masked-popcount loop of ``TruthTable.cofactor_weights``.  That
-  scalar side is pure C big-int work, so the slab margin here is thin
-  (~1..2x, batch-dependent) and only gated at parity; the >= 2x weight
-  acceptance is carried by ``prekey_words``, which contains the same
-  vectors.
-* ``fprm_words`` — one cold FPRM transform of the whole batch.  Honest
-  numbers: the scalar transform is memo-table-free C-bound big-int
-  work, so the slab margin decays toward ~1.2x by n = 16.
-* ``fprm_ladder`` — the paper's polarity-sweep workload (GRM weight
-  vectors across a gray-code ladder of polarities).  The slab layout
-  transforms once and applies each polarity toggle incrementally, which
-  is where the >= 2x FPRM margin lives at n = 14..16.
 * ``walsh`` — large-n tier check of the packed Walsh butterfly (32-bit
   fields at n = 15..16).
 
@@ -73,7 +53,6 @@ from repro import kernels
 from repro.boolfunc import walsh
 from repro.boolfunc.truthtable import TruthTable
 from repro.engine.prekey import coarse_prekey
-from repro.grm.transform import fprm_coefficients
 from repro.kernels import wordarray
 from repro.utils import bitops
 
@@ -132,101 +111,11 @@ def bench_prekey(bl, n, trials):
     return {"scalar_seconds": t_s, "batch_seconds": t_b, "speedup": t_s / t_b}
 
 
-def bench_weights(bl, n, trials):
-    t_s, scalar = best_of(trials, lambda: [b.bit_count() for b in bl])
-    t_r, reduced = best_of(trials, kernels.batch_weights, bl, n, "reduce")
-    t_e, extracted = best_of(trials, kernels.batch_weights, bl, n, "extract")
-    assert reduced == scalar and extracted == scalar
-    return {
-        "scalar_seconds": t_s,
-        "reduce_seconds": t_r,
-        "extract_seconds": t_e,
-        "best_strategy": "reduce" if t_r <= t_e else "extract",
-        "auto_strategy": "reduce" if n <= kernels.AUTO_REDUCE_MAX_N else "extract",
-    }
-
-
-def bench_fprm(bl, n, trials):
-    polarity = 0b0101_0101_01 & ((1 << n) - 1)
-
-    def scalar():
-        fprm_coefficients.cache_clear()
-        return [fprm_coefficients(b, n, polarity) for b in bl]
-
-    t_s, expected = best_of(trials, scalar)
-    t_b, batch = best_of(trials, kernels.batch_fprm, bl, n, polarity)
-    assert batch == expected, f"fprm mismatch at n={n}"
-    return {"scalar_seconds": t_s, "batch_seconds": t_b, "speedup": t_s / t_b}
-
-
 def bench_words_prekey(bl, n, trials):
     t_s, scalar = best_of(trials, scalar_prekeys_reference, bl, n)
     t_b, batch = best_of(trials, wordarray.batch_prekeys, bl, n)
     assert batch == scalar, f"word-array prekey mismatch at n={n}"
     return {"scalar_seconds": t_s, "words_seconds": t_b, "speedup": t_s / t_b}
-
-
-def bench_words_weights(bl, n, trials):
-    masks = bitops.axis_masks(n)
-
-    def scalar():
-        return [
-            tuple(
-                ((b & m).bit_count(), ((b >> (1 << i)) & m).bit_count())
-                for i, m in enumerate(masks)
-            )
-            for b in bl
-        ]
-
-    t_s, expected = best_of(trials, scalar)
-    t_b, batch = best_of(trials, wordarray.batch_cofactor_weights, bl, n)
-    assert batch == expected, f"word-array cofactor-weight mismatch at n={n}"
-    return {"scalar_seconds": t_s, "words_seconds": t_b, "speedup": t_s / t_b}
-
-
-def bench_words_fprm(bl, n, trials):
-    polarity = 0b0101_0101_0101_0101 & ((1 << n) - 1)
-
-    def scalar():
-        fprm_coefficients.cache_clear()
-        return [fprm_coefficients(b, n, polarity) for b in bl]
-
-    t_s, expected = best_of(trials, scalar)
-    t_b, batch = best_of(trials, wordarray.batch_fprm, bl, n, polarity)
-    assert batch == expected, f"word-array fprm mismatch at n={n}"
-    return {"scalar_seconds": t_s, "words_seconds": t_b, "speedup": t_s / t_b}
-
-
-def ladder_polarities(n: int):
-    """A gray-code walk over three axes spread across the bands (one
-    in-byte, one mid in-slab, one slab-index), so every step toggles a
-    single polarity bit and every band's incremental update runs."""
-    axes = (0, n // 2, n - 1)
-    pols = []
-    for i in range(8):
-        g = i ^ (i >> 1)
-        pols.append(sum(1 << axes[j] for j in range(3) if (g >> j) & 1))
-    return pols
-
-
-def bench_fprm_ladder(bl, n, trials):
-    pols = ladder_polarities(n)
-
-    def scalar():
-        fprm_coefficients.cache_clear()
-        return [
-            [fprm_coefficients(b, n, p).bit_count() for b in bl] for p in pols
-        ]
-
-    t_s, expected = best_of(trials, scalar)
-    t_b, batch = best_of(trials, wordarray.fprm_ladder_weights, bl, n, pols)
-    assert batch == expected, f"fprm ladder mismatch at n={n}"
-    return {
-        "polarities": len(pols),
-        "scalar_seconds": t_s,
-        "words_seconds": t_b,
-        "speedup": t_s / t_b,
-    }
 
 
 def bench_walsh(bl, n, trials):
@@ -250,18 +139,12 @@ def run_sweep(trials: int, seed: int, quick: bool):
     for n in ns:
         for count in bs:
             bl = make_batch(n, count, rng)
-            cell = {
-                "prekey": bench_prekey(bl, n, trials),
-                "weights": bench_weights(bl, n, trials),
-                "fprm": bench_fprm(bl, n, trials),
-            }
+            cell = {"prekey": bench_prekey(bl, n, trials)}
             if count <= 256 and n <= 10:
                 cell["walsh"] = bench_walsh(bl, n, trials)
             cells[f"n={n},B={count}"] = cell
             print(
-                f"n={n:2d} B={count:4d}  prekey {cell['prekey']['speedup']:5.2f}x  "
-                f"fprm {cell['fprm']['speedup']:5.2f}x  "
-                f"weights best={cell['weights']['best_strategy']}"
+                f"n={n:2d} B={count:4d}  prekey {cell['prekey']['speedup']:5.2f}x"
                 + (
                     f"  walsh {cell['walsh']['speedup']:5.2f}x"
                     if "walsh" in cell
@@ -273,17 +156,11 @@ def run_sweep(trials: int, seed: int, quick: bool):
             bl = make_batch(n, count, rng)
             cell = {
                 "prekey_words": bench_words_prekey(bl, n, trials),
-                "weights_words": bench_words_weights(bl, n, trials),
-                "fprm_words": bench_words_fprm(bl, n, trials),
-                "fprm_ladder": bench_fprm_ladder(bl, n, trials),
                 "walsh": bench_walsh(bl[:LARGE_WALSH_B], n, trials),
             }
             cells[f"n={n},B={count}"] = cell
             print(
                 f"n={n:2d} B={count:4d}  prekey {cell['prekey_words']['speedup']:5.2f}x  "
-                f"weights {cell['weights_words']['speedup']:5.2f}x  "
-                f"fprm {cell['fprm_words']['speedup']:5.2f}x  "
-                f"ladder {cell['fprm_ladder']['speedup']:5.2f}x  "
                 f"walsh {cell['walsh']['speedup']:5.2f}x  [words]"
             )
     return cells
@@ -348,7 +225,6 @@ def main(argv=None) -> int:
         "trials": args.trials,
         "n_sweep": list(N_SWEEP if not args.quick else (4, 8)),
         "batch_sweep": list(B_SWEEP if not args.quick else (256,)),
-        "auto_reduce_max_n": kernels.AUTO_REDUCE_MAX_N,
         "kernel_min_batch": kernels.KERNEL_MIN_BATCH,
         "slab_min_n": wordarray.SLAB_MIN_N,
         "large_cells": [list(cell) for cell in LARGE_CELLS]
@@ -372,19 +248,13 @@ def main(argv=None) -> int:
         rc = 1
     if not args.quick:
         for n, count in LARGE_CELLS:
-            cell = cells[f"n={n},B={count}"]
-            for scenario, floor in (
-                ("prekey_words", WORDS_ACCEPT_SPEEDUP),
-                ("fprm_ladder", WORDS_ACCEPT_SPEEDUP),
-                ("weights_words", 1.0),
-            ):
-                if cell[scenario]["speedup"] < floor:
-                    print(
-                        f"WARNING: {scenario} speedup at n={n}, B={count} "
-                        f"below {floor}x",
-                        file=sys.stderr,
-                    )
-                    rc = 1
+            if cells[f"n={n},B={count}"]["prekey_words"]["speedup"] < WORDS_ACCEPT_SPEEDUP:
+                print(
+                    f"WARNING: prekey_words speedup at n={n}, B={count} "
+                    f"below {WORDS_ACCEPT_SPEEDUP}x",
+                    file=sys.stderr,
+                )
+                rc = 1
     return rc
 
 

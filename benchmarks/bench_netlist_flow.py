@@ -14,7 +14,8 @@ engine counters per mode:
   classify → witness-replay bind) with the scalar pre-key kernel and no
   persistent store.
 * ``batched_batch_cold`` — same with the bit-parallel batch kernel
-  (the covers must be identical — kernel choice never changes results).
+  (``kernel="auto"``; the covers must be identical — kernel choice
+  never changes results).
 * ``batched_batch_warm`` — batch kernel plus a class store seeded by a
   prior (untimed) pass over the same circuits, so classification
   warm-starts from store membership probes.
@@ -182,7 +183,7 @@ def main(argv=None) -> int:
         "batched_batch_cold",
         AigMapper(
             cut_size=args.cut_size,
-            engine_options=EngineOptions(kernel="batch"),
+            engine_options=EngineOptions(kernel="auto"),
         ),
         aigs,
         verify,
@@ -200,7 +201,7 @@ def main(argv=None) -> int:
         seed_store = ClassStore(store_dir, create=True)
         seeder = AigMapper(
             cut_size=args.cut_size,
-            engine_options=EngineOptions(kernel="batch"),
+            engine_options=EngineOptions(kernel="auto"),
             store=seed_store,
         )
         for aig in aigs.values():  # untimed write-back pass
@@ -212,7 +213,7 @@ def main(argv=None) -> int:
             "batched_batch_warm",
             AigMapper(
                 cut_size=args.cut_size,
-                engine_options=EngineOptions(kernel="batch"),
+                engine_options=EngineOptions(kernel="auto"),
                 store=warm_store,
             ),
             aigs,

@@ -92,11 +92,7 @@ def catalog_cut_functions(
     ``cuts`` defaults to :func:`enumerate_cuts` with the given limits.
     Trivial cuts are skipped (a node cannot implement itself); every
     other cut's local function is evaluated once and recorded under its
-    exact ``(n, bits)`` identity.  ``bits`` is the *canonical* packed
-    form of a :class:`TruthTable` (the word-array of
-    :meth:`TruthTable.words` is only a view of the same bytes), so this
-    key — like the store shards and the wire protocol — is independent
-    of which kernel layout later processes the batch.
+    exact ``(n, bits)`` identity.
     """
     if cuts is None:
         cuts = enumerate_cuts(aig, k, max_cuts_per_node)

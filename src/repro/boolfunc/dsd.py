@@ -18,17 +18,10 @@ siblings always form a mergeable pair, so the fixpoint of pairwise
 merging discovers every binary-composable layer and leaves exactly the
 prime blocks flat.
 
-DSD is also the library's *escape hatch for large-support functions*:
-the packed kernels (flat lanes up to ``n = 10``, the word-array slabs
-of :mod:`repro.kernels.wordarray` up to ``n = 16``) operate on whole
-``2**n``-bit tables and stop being practical well before
-``MAX_VARS = 24``.  A wide function that decomposes, however, is
-matched block-by-block — each internal node's local function lives on
-only its children, so the widest table anyone must materialize is the
-widest *prime block*, not the full support (:func:`widest_prime_block`
-reports it).  Wide functions that are themselves prime are genuinely
-hard for every truth-table method and are the documented limit of this
-reproduction.
+Two callers use it: ``grm-match decompose`` prints the tree, and
+:func:`shape_signature` turns it into an npn-invariant key.  Matching
+itself never decomposes: the matcher, the engine and the mapper all
+work on the whole ``2**n``-bit table.
 """
 
 from __future__ import annotations
@@ -342,31 +335,5 @@ def shape_signature(dsd: Dsd) -> Tuple:
         for child in node.children:
             gather(child)
         return (kind, tuple(sorted(members)))
-
-    return walk(dsd.root)
-
-
-def widest_prime_block(dsd: Dsd) -> int:
-    """Support width of the widest prime block in the tree — the largest
-    truth table any block-wise matcher must actually materialize.
-
-    This is the dispatch quantity for the large-support escape hatch
-    (see the module docstring): a 20-variable function whose widest
-    prime block is 6 variables costs the kernels 64-bit tables, not
-    ``2**20``-bit ones.  Returns 0 for constants and 1 for a bare
-    variable; for a function that is itself prime this equals its
-    support size, i.e. no escape.
-    """
-    if dsd.constant is not None:
-        return 0
-    assert dsd.root is not None
-
-    def walk(node: DsdNode) -> int:
-        if node.is_leaf():
-            return 1
-        widest = max(walk(c) for c in node.children)
-        if _node_kind(node) == "prime":
-            widest = max(widest, len(node.children))
-        return widest
 
     return walk(dsd.root)

@@ -6,15 +6,6 @@ is the ``2**n``-bit packed table described in :mod:`repro.utils.bitops`.
 All of the paper's function-level notions (on-set weight, cofactor
 weights, balanced/unbalanced variables, neutral/odd functions, Boolean
 difference) are methods here.
-
-``bits`` is the canonical representation — serialization (store shards,
-corpus JSON, the wire protocol's hex bits) and hashing all read it — but
-large tables can additionally be *viewed* as a 64-bit word array
-(:meth:`words` / :meth:`from_words`, layout in
-:mod:`repro.utils.words`).  The view is the same byte image, so the two
-convert without bit shuffling; the batch kernels pick between the flat
-bigint layout and the word/slab layout per width
-(:func:`repro.kernels.choose_layout`).
 """
 
 from __future__ import annotations
@@ -23,7 +14,6 @@ import random
 from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.utils import bitops
-from repro.utils import words as wordops
 
 
 class TruthTable:
@@ -34,7 +24,7 @@ class TruthTable:
     index.
     """
 
-    __slots__ = ("n", "bits", "_count", "_support", "_weights", "_words")
+    __slots__ = ("n", "bits", "_count", "_support", "_weights")
 
     def __init__(self, n: int, bits: int):
         if n < 0 or n > bitops.MAX_VARS:
@@ -49,7 +39,6 @@ class TruthTable:
         object.__setattr__(self, "_count", None)
         object.__setattr__(self, "_support", None)
         object.__setattr__(self, "_weights", None)
-        object.__setattr__(self, "_words", None)
 
     def __setattr__(self, *_: object) -> None:
         raise AttributeError("TruthTable is immutable")
@@ -98,14 +87,6 @@ class TruthTable:
         return cls(n, bits)
 
     @classmethod
-    def from_words(cls, n: int, words: Sequence[int]) -> "TruthTable":
-        """Build from a 64-bit word array (:mod:`repro.utils.words`
-        layout).  The inverse of :meth:`words`."""
-        table = cls(n, wordops.from_words(words, n))
-        object.__setattr__(table, "_words", tuple(words))
-        return table
-
-    @classmethod
     def random(cls, n: int, rng: random.Random) -> "TruthTable":
         """A uniformly random function on ``n`` variables."""
         return cls(n, rng.getrandbits(1 << n))
@@ -131,21 +112,6 @@ class TruthTable:
 
     def __call__(self, assignment: int) -> int:
         return self.evaluate(assignment)
-
-    def words(self) -> Tuple[int, ...]:
-        """The table as a 64-bit word array (lazily cached view).
-
-        Word ``k`` holds minterms ``[64k, 64(k+1))`` — the same byte
-        image as ``bits``, so the view costs one ``to_bytes`` pass and
-        no bit shuffling.  Word-level consumers (the slab kernels, the
-        reference ops in :mod:`repro.utils.words`) operate on this
-        without round-tripping through the bigint.
-        """
-        w = self._words
-        if w is None:
-            w = tuple(wordops.to_words(self.bits, self.n))
-            object.__setattr__(self, "_words", w)
-        return w
 
     def count(self) -> int:
         """On-set size ``|f|`` (the paper's functional weight ``fw``)."""

@@ -167,7 +167,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.random:
         # Synthetic stress path: seeded random n-variable functions
         # straight into the engine, no circuit parsing.  This is the
-        # large-n soak the word-array kernels are sized for.
+        # large-n soak the slab pre-key layout is sized for.
         rng = random_mod.Random(args.seed)
         circuit = BenchmarkCircuit(
             f"random(n={args.n}, count={args.random}, seed={args.seed})",
@@ -847,10 +847,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel",
         choices=KERNEL_MODES,
         default="auto",
-        help="pre-key computation: size-based auto dispatch, scalar "
-        "loop, forced batch, or a pinned batch layout (lanes = flat "
-        "lane-packed, words = slab word-array); identical partitions "
-        "in every mode",
+        help="pre-key computation: size-based auto dispatch or the "
+        "scalar loop (identical partitions)",
     )
     p.add_argument(
         "--random",
@@ -911,7 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel",
         choices=KERNEL_MODES,
         default="auto",
-        help="classification pre-key kernel (identical covers in every mode)",
+        help="classification pre-key kernel (identical covers in both modes)",
     )
     p.add_argument(
         "--workers", type=int, default=0, help="engine worker processes"

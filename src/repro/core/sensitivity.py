@@ -27,9 +27,9 @@ masks yield every histogram.  Total cost is ``O(n**2)`` big-integer
 operations — far below GRM-form construction — which is what lets the
 matcher's tier dispatcher try these families *before* any GRM work.
 
-These scalar routines double as the large-``n`` implementations of the
-batch tiers: :mod:`repro.kernels.influence` batches them only up to
-``n = 10`` and routes wider tables back here per lane, because the
+The influence routine doubles as the large-``n`` implementation of the
+batch influence tier: :mod:`repro.kernels.influence` batches it only up
+to ``n = 10`` and routes wider tables back here per lane, because the
 masked popcounts below already run at C speed and the packed pipeline's
 extra rounds stop amortizing (measured crossover; see
 ``BATCH_MAX_N`` there).

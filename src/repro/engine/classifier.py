@@ -122,11 +122,8 @@ class EngineOptions:
     kernel: str = "auto"
     """Pre-key computation dispatch: ``"auto"`` runs same-width groups of
     at least :data:`repro.kernels.KERNEL_MIN_BATCH` distinct functions
-    through the bit-parallel batch kernel, ``"batch"`` forces the kernel
-    wherever it supports the width, ``"scalar"`` always uses the
-    per-function path.  ``"lanes"`` / ``"words"`` additionally pin the
-    batched layout (flat lane-packed vs slab word-array) instead of
-    letting :func:`repro.kernels.choose_layout` pick by width.  All
+    through the bit-parallel batch kernel (flat lanes or slabs, chosen
+    by width), ``"scalar"`` always uses the per-function path.  Both
     modes produce identical buckets and class partitions."""
 
     use_membership: bool = True
@@ -806,9 +803,7 @@ class ClassificationEngine:
                 by_n.setdefault(n, []).append(bits)
             for n, group in sorted(by_n.items()):
                 if kernels.should_batch(n, len(group), self.options.kernel):
-                    keys, weights = kernels.coarse_prekeys(
-                        group, n, self.options.kernel
-                    )
+                    keys, weights = kernels.coarse_prekeys(group, n)
                     metrics.inc("kernel_batched", len(group))
                     for bits, ckey, w in zip(group, keys, weights):
                         coarse.setdefault(ckey, []).append((n, bits))

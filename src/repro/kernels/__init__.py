@@ -1,4 +1,4 @@
-"""Bit-parallel batch kernels: SIMD-on-bigints for the hot paths.
+"""Bit-parallel batch kernels: SIMD-on-bigints for the engine's pre-key tiers.
 
 This package packs a batch of ``B`` truth tables (width ``2**n``) into
 the lanes of one wide Python integer and replaces per-function Python
@@ -10,14 +10,10 @@ Modules
 -------
 :mod:`repro.kernels.lanes`
     Lane layout, packing/extraction, replicated-mask builders.
-:mod:`repro.kernels.popcount`
-    Per-lane weights and the shared popcount butterfly that yields the
-    total weight and all ``2n`` cofactor weights of every lane at once.
 :mod:`repro.kernels.prekey`
-    The fused pipeline producing the engine's coarse NPN pre-keys plus
-    cofactor-weight vectors for a whole bucket in one pass.
-:mod:`repro.kernels.transform`
-    Lane-wise axis flips, input negation, Moebius and FPRM transforms.
+    The shared popcount butterfly and the fused pipeline producing the
+    engine's coarse NPN pre-keys plus cofactor-weight vectors for a
+    whole bucket in one pass.
 :mod:`repro.kernels.wordarray`
     The word-array ("slab") layout for large ``n``: the batch is held
     as ``2**h`` slab integers, each slicing one ``2**(n-h)``-bit chunk
@@ -25,27 +21,24 @@ Modules
     of the flat layout's O(n^2) and per-word popcounts come from one
     ``bytes.translate`` per slab.
 :mod:`repro.kernels.influence`
-    Per-lane influence vectors and sensitivity histograms for the
-    engine's influence/sensitivity pre-key tiers.
+    Per-lane influence vectors for the engine's influence pre-key tier.
 
 Dispatch
 --------
-Call sites pick the implementation through :func:`should_batch`, driven
-by a ``kernel`` mode string: ``"scalar"`` never batches, ``"batch"``
-always batches where the kernel supports the width, and ``"auto"``
+Call sites decide whether to batch through :func:`should_batch`, driven
+by a ``kernel`` mode string: ``"scalar"`` never batches and ``"auto"``
 (default) batches once a group reaches :data:`KERNEL_MIN_BATCH` lanes —
 below that the packing overhead eats the win.  The pre-key pipeline
 needs byte-aligned lanes (``n >= 3``); narrower groups silently take
 the scalar path, counted in ``kernels.scalar_fallbacks``.
 
-Batched groups then pick a *layout* through :func:`choose_layout`: the
+:func:`coarse_prekeys` then picks the *layout* from ``n`` alone: the
 flat lane-packed layout up to ``n = 10``, the slab word-array layout
 from :data:`repro.kernels.wordarray.SLAB_MIN_N` up (where the flat
 butterfly's O(n^2) rounds over a megabyte-scale integer fall behind the
-scalar loop — measured in BENCH_kernels.json).  ``"lanes"`` and
-``"words"`` force a layout for differential testing and benchmarks;
-``"words"`` below the slab floor falls back to the flat layout rather
-than erroring, so CLI sweeps can hold the flag constant across n.
+scalar loop — measured in BENCH_kernels.json).  Both layouts stay
+reachable directly as :func:`repro.kernels.prekey.batch_prekeys` and
+:func:`repro.kernels.wordarray.batch_prekeys`.
 
 When observability is enabled (:mod:`repro.obs.runtime`) the wrappers
 record call counts, lane throughput and wall time under the
@@ -57,71 +50,29 @@ from __future__ import annotations
 import time
 from typing import List, Sequence, Tuple
 
-from repro.kernels import (
-    influence,
-    lanes,
-    popcount,
-    prekey,
-    transform,
-    wordarray,
-)
-from repro.kernels.influence import batch_influence, batch_sensitivity
-from repro.kernels.lanes import pack_tables, unpack_tables
-from repro.kernels.popcount import (
-    AUTO_REDUCE_MAX_N,
-    batch_weights,
-    butterfly,
-    packed_weights,
-)
-from repro.kernels.prekey import batch_cofactor_weights, batch_prekeys
-from repro.kernels.transform import (
-    batch_flip_axis,
-    batch_fprm,
-    batch_mobius,
-    batch_negate_inputs,
-    batch_output_complement,
-)
-from repro.kernels.wordarray import fprm_ladder_weights
+from repro.kernels import influence, lanes, prekey, wordarray
+from repro.kernels.influence import batch_influence
+from repro.kernels.prekey import batch_prekeys
 from repro.obs import runtime as _obs
 
 __all__ = [
-    "AUTO_REDUCE_MAX_N",
     "KERNEL_MIN_BATCH",
     "KERNEL_MODES",
-    "batch_cofactor_weights",
-    "batch_flip_axis",
-    "batch_fprm",
     "batch_influence",
-    "batch_mobius",
-    "batch_negate_inputs",
-    "batch_output_complement",
     "batch_prekeys",
-    "batch_sensitivity",
-    "batch_weights",
-    "butterfly",
-    "choose_layout",
     "coarse_prekeys",
-    "fprm_ladder_weights",
     "influence",
     "influence_vectors",
     "lanes",
-    "pack_tables",
-    "packed_weights",
-    "popcount",
     "prekey",
     "should_batch",
-    "transform",
-    "unpack_tables",
     "wordarray",
 ]
 
-KERNEL_MODES = ("auto", "scalar", "batch", "lanes", "words")
-"""Valid values of the ``kernel`` dispatch mode.
-
-``"auto"``/``"scalar"``/``"batch"`` decide *whether* to batch;
-``"lanes"``/``"words"`` additionally pin the batched *layout* (flat
-lane-packed vs slab word-array) instead of letting
-:func:`choose_layout` pick by width."""
+KERNEL_MODES = ("auto", "scalar")
+"""Valid values of the ``kernel`` dispatch mode: ``"auto"`` batches
+groups of at least :data:`KERNEL_MIN_BATCH` functions, ``"scalar"``
+never batches."""
 
 KERNEL_MIN_BATCH = 8
 """``"auto"`` crossover: batch groups of at least this many distinct
@@ -137,50 +88,30 @@ def should_batch(n: int, count: int, kernel: str = "auto") -> bool:
         raise ValueError(
             f"unknown kernel mode {kernel!r}; expected one of {KERNEL_MODES}"
         )
-    if kernel == "scalar" or count < 2 or not prekey.supported(n):
-        if kernel != "scalar" and count >= 2 and _obs.enabled:
+    if kernel == "scalar" or count < 2:
+        return False
+    if not prekey.supported(n):
+        if _obs.enabled:
             _obs.registry.counter("kernels.scalar_fallbacks").inc()
         return False
-    if kernel != "auto":
-        return True
     return count >= KERNEL_MIN_BATCH
 
 
-def choose_layout(n: int, count: int, kernel: str = "auto") -> str:
-    """Pick the batched layout — ``"lanes"`` (flat lane-packed) or
-    ``"words"`` (slab word-array) — for a group that passed
-    :func:`should_batch`.
-
-    The crossover is by width alone: the flat butterfly does O(n^2)
-    rounds over the whole packed batch and falls behind scalar from
-    ``n = 11`` up, exactly where the slab pipeline's O(n) passes take
-    over (:data:`repro.kernels.wordarray.SLAB_MIN_N`).  ``count`` is
-    accepted for symmetry with :func:`should_batch` and for future
-    tuning, but the measured crossover did not move with batch size.
-    A forced ``"words"`` below the slab floor degrades to ``"lanes"``
-    (the slab layout needs multi-word chunks to exist at all).
-    """
-    if kernel == "lanes":
-        return "lanes"
-    if kernel == "words":
-        return "words" if wordarray.supported(n) else "lanes"
-    return "words" if n >= wordarray.SLAB_MIN_N else "lanes"
-
-
 def coarse_prekeys(
-    bits_list: Sequence[int], n: int, kernel: str = "auto"
+    bits_list: Sequence[int], n: int
 ) -> Tuple[List[tuple], List[tuple]]:
     """Instrumented entry point for the fused pre-key + weights kernel.
 
-    Dispatches to :func:`repro.kernels.prekey.batch_prekeys` (flat
-    lanes) or :func:`repro.kernels.wordarray.batch_prekeys` (slabs) via
-    :func:`choose_layout`, plus ``kernels.*`` metrics when
-    observability is on.  Callers gate on :func:`should_batch`; this
-    function itself still falls back to scalar below the supported
-    width.  Both layouts return scalar-identical ``(keys, weights)``.
+    Runs :func:`repro.kernels.prekey.batch_prekeys` (flat lanes) below
+    :data:`repro.kernels.wordarray.SLAB_MIN_N` and
+    :func:`repro.kernels.wordarray.batch_prekeys` (slabs) from there up,
+    plus ``kernels.*`` metrics when observability is on.  Callers gate
+    on :func:`should_batch`; this function itself still falls back to
+    scalar below the supported width.  Both layouts return
+    scalar-identical ``(keys, weights)``.
     """
-    layout = choose_layout(n, len(bits_list), kernel)
-    impl = wordarray.batch_prekeys if layout == "words" else batch_prekeys
+    slabs = n >= wordarray.SLAB_MIN_N
+    impl = wordarray.batch_prekeys if slabs else batch_prekeys
     if not _obs.enabled:
         return impl(bits_list, n)
     t0 = time.perf_counter()
@@ -189,7 +120,7 @@ def coarse_prekeys(
     registry.counter("kernels.prekey_calls").inc()
     registry.counter("kernels.prekey_lanes").inc(len(bits_list))
     registry.counter("kernels.prekey_seconds").inc(time.perf_counter() - t0)
-    if layout == "words":
+    if slabs:
         registry.counter("kernels.prekey_slab_calls").inc()
     return result
 

@@ -1,30 +1,22 @@
-"""Batch influence vectors and sensitivity signatures, lane-packed.
+"""Batch influence vectors, lane-packed.
 
-The scalar references live in :mod:`repro.core.sensitivity`; this module
-reproduces their raw counts bit-for-bit for a whole batch at once:
+The scalar reference lives in :mod:`repro.core.sensitivity`; this module
+reproduces its raw counts bit-for-bit for a whole batch at once.
+Influence is one XOR + axis mask per lane pair — the Boolean difference
+``(packed ^ (packed >> 2**i)) & rep_axis(i)`` — followed by the same
+strided popcount main chain the weight butterfly uses, so every lane's
+``inf_i`` falls out of ``n`` reduction rounds per axis.
 
-* **influence** is one XOR + axis mask per lane pair — the Boolean
-  difference ``(packed ^ (packed >> 2**i)) & rep_axis(i)`` — followed by
-  the same strided popcount main chain the weight butterfly uses, so
-  every lane's ``inf_i`` falls out of ``n`` reduction rounds per axis.
-* **sensitivity** ripple-adds the ``n`` full-domain difference tables
-  into per-lane counter bit-planes (the packed twin of the scalar
-  bit-plane trick), builds the per-value point masks once for the whole
-  batch, and reads every histogram — on-set, off-set and the ``n``
-  boundary columns — through per-lane popcount reductions.
-
-Both entry points silently fall back to the scalar implementations
+:func:`batch_influence` silently falls back to the scalar implementation
 below the kernel's byte-aligned lane floor (``n < 3``) — mirroring
 :func:`repro.kernels.prekey.batch_prekeys` — and *above*
-:data:`BATCH_MAX_N`: the influence pipeline is n reduction rounds per
-axis (n^2 total) over the whole packed batch, and from ``n = 11`` up
-that loses to the scalar per-table masked-popcount loops by ~7x
-(28ms vs 4ms at n=14, B=256; the same reason
-:data:`repro.kernels.popcount.AUTO_REDUCE_MAX_N` is tiny — bare
-popcounts are already C-speed, so the packing buys nothing).  The slab
-layout does not help here: its win comes from *sharing* one reduction
-across all 2n cofactor counts, and influence needs a fresh XOR-ed
-table per axis.
+:data:`BATCH_MAX_N`: the pipeline is n reduction rounds per axis (n^2
+total) over the whole packed batch, and from ``n = 11`` up that loses
+to the scalar per-table masked-popcount loop by ~7x (28ms vs 4ms at
+n=14, B=256): bare popcounts are already C-speed, so the packing buys
+nothing.  The slab layout does not help here: its win comes from
+*sharing* one reduction across all 2n cofactor counts, and influence
+needs a fresh XOR-ed table per axis.
 """
 
 from __future__ import annotations
@@ -35,11 +27,11 @@ from repro.kernels import lanes
 from repro.kernels.prekey import supported as _prekey_supported
 from repro.kernels.wordarray import SLAB_MIN_N
 
-__all__ = ["BATCH_MAX_N", "batch_influence", "batch_sensitivity", "supported"]
+__all__ = ["BATCH_MAX_N", "batch_influence", "supported"]
 
 BATCH_MAX_N = SLAB_MIN_N - 1
-"""Widest tables the packed influence/sensitivity pipeline batches;
-above this the scalar loops win (see the module docstring)."""
+"""Widest tables the packed influence pipeline batches; above this the
+scalar loop wins (see the module docstring)."""
 
 
 def supported(n: int) -> bool:
@@ -81,69 +73,7 @@ def batch_influence(bits_list: Sequence[int], n: int) -> List[Tuple[int, ...]]:
     return [tuple(col[k] for col in cols) for k in range(count)]
 
 
-def batch_sensitivity(
-    bits_list: Sequence[int], n: int
-) -> List[Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...], Tuple[int, ...]]]:
-    """``(columns, hist_on, hist_off)`` of every table in the batch.
-
-    Matches ``repro.core.sensitivity.sensitivity_data`` exactly; scalar
-    fallback below the supported width.
-    """
-    count = len(bits_list)
-    if not count:
-        return []
-    if not supported(n):
-        return _scalar_sensitivity(bits_list, n)
-    packed = lanes.pack_tables(bits_list, n)
-    total_bits = count << n
-    lb = lanes.lane_bytes(n)
-    full = (1 << total_bits) - 1
-    nplanes = n.bit_length()
-    planes = [0] * nplanes
-    diffs = []
-    for i in range(n):
-        span = 1 << i
-        am = lanes.rep_axis(n, i, total_bits)
-        x = (packed ^ (packed >> span)) & am
-        d = x | (x << span)
-        diffs.append(d)
-        carry = d
-        for p in range(nplanes):
-            nxt = planes[p] & carry
-            planes[p] ^= carry
-            carry = nxt
-    vmasks = []
-    for v in range(n + 1):
-        m = full
-        for p in range(nplanes):
-            m &= planes[p] if (v >> p) & 1 else (full ^ planes[p])
-        vmasks.append(m)
-
-    def counts(x: int):
-        return _lane_counts(x, n, count, lb, total_bits)
-
-    off = packed ^ full
-    on_cols = [counts(m & packed) for m in vmasks]
-    off_cols = [counts(m & off) for m in vmasks]
-    col_cols = [[counts(m & d) for m in vmasks] for d in diffs]
-    out = []
-    for k in range(count):
-        hist_on = tuple(on_cols[v][k] for v in range(n + 1))
-        hist_off = tuple(off_cols[v][k] for v in range(n + 1))
-        columns = tuple(
-            tuple(col_cols[i][v][k] for v in range(n + 1)) for i in range(n)
-        )
-        out.append((columns, hist_on, hist_off))
-    return out
-
-
 def _scalar_influence(bits_list: Sequence[int], n: int) -> List[Tuple[int, ...]]:
     from repro.core import sensitivity as sens_mod
 
     return [sens_mod._influence_vector(n, b) for b in bits_list]
-
-
-def _scalar_sensitivity(bits_list: Sequence[int], n: int):
-    from repro.core import sensitivity as sens_mod
-
-    return [sens_mod._sensitivity_data(n, b) for b in bits_list]

@@ -24,7 +24,7 @@ and batches of many distinct sizes must not pin memory forever.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.utils import bitops
 
@@ -51,15 +51,6 @@ def pack_tables(bits_list: Sequence[int], n: int) -> int:
     lb = lane_bytes(n)
     to_b = (lambda nb: lambda b: b.to_bytes(nb, "little"))(lb)
     return int.from_bytes(b"".join(map(to_b, bits_list)), "little")
-
-
-def unpack_tables(packed: int, n: int, count: int) -> List[int]:
-    """Inverse of :func:`pack_tables`: the ``count`` per-lane integers."""
-    lb = lane_bytes(n)
-    buf = packed.to_bytes(count * lb, "little")
-    return [
-        int.from_bytes(buf[k * lb:(k + 1) * lb], "little") for k in range(count)
-    ]
 
 
 _family_cache: dict = {}

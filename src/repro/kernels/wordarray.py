@@ -10,20 +10,17 @@ where slab ``s`` is one wide integer holding word ``s`` (a ``2**c``-bit
 chunk, ``c = n - h``) of every table, one lane per table.
 
 The layout splits each table's variables into three bands, exactly like
-the word-array truth tables of MyskYko/ttopt (and the reference
-single-table ops in :mod:`repro.utils.words`):
+the word-array truth tables of MyskYko/ttopt:
 
 * axes 0..2 live inside a *byte*: one ``bytes.translate`` against a
-  256-entry popcount (or transform) table processes all three at once,
-  replacing the three narrowest — and most expensive per useful bit —
-  butterfly rounds with a single C pass;
+  256-entry popcount table processes all three at once, replacing the
+  three narrowest — and most expensive per useful bit — butterfly
+  rounds with a single C pass;
 * axes 3..c-1 live inside a slab lane: masked-shift rounds, one per
   axis, over fields that start a byte wide (so every round from here on
   is cheap relative to the flat layout's 1-, 2- and 4-bit rounds);
 * axes c..n-1 are the *slab index*: operations on them are list
-  operations — a cofactor weight is a sum of slab vectors, an axis flip
-  is a permutation of the slab list (free), a Moebius step is one
-  unmasked XOR per slab pair.
+  operations — a cofactor weight is a sum of slab vectors.
 
 The result is O(n) wide passes per batch for the full pre-key column
 set instead of the flat layout's O(n^2), which is what restores the
@@ -35,17 +32,17 @@ construction (field capacity ``2**16`` at the narrowest summed stride
 vs at most ``2**(h+3)`` slabs-times-value) or is widened first in
 groups of at most 16 slabs.
 
-All kernels return results bit-identical to the scalar reference and to
-the flat lane kernels; serialized forms never change (tables enter and
-leave as plain packed bigints).
+The pre-keys are bit-identical to the scalar reference and to the flat
+lane kernel; serialized forms never change (tables enter as plain
+packed bigints).
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.kernels import lanes
+from repro.kernels import lanes, prekey
 from repro.utils import bitops
 
 Pair = Tuple[int, int]
@@ -104,17 +101,6 @@ def pack_slabs(bits_list: Sequence[int], n: int, h: int) -> List[bytes]:
     ]
 
 
-def unpack_slabs(slabs: Sequence[int], n: int, count: int, h: int) -> List[int]:
-    """Inverse transpose: per-table integers from slab integers."""
-    cb = (1 << (n - 3)) >> h
-    imgs = [x.to_bytes(count * cb, "little") for x in slabs]
-    fb = int.from_bytes
-    return [
-        fb(b"".join(map(itemgetter(slice(off, off + cb)), imgs)), "little")
-        for off in (k * cb for k in range(count))
-    ]
-
-
 def _count_masks(c: int, total: int) -> List[int]:
     """Even-field masks for the in-slab count rounds (fields start one
     byte wide — the translate pass already merged axes 0..2)."""
@@ -139,46 +125,7 @@ def _grouped_sum(vals: Sequence[int], m0: int) -> Tuple[int, int]:
     return s16, e16
 
 
-def _lane_weight_sum(
-    slabs: Sequence[int], c: int, count: int, h: int
-) -> int:
-    """Per-lane weight vector summed over all slabs (``2**c``-bit
-    fields, one total count per lane).
-
-    The masked-add widening rounds are linear in the field values, so
-    the translated byte counts are summed *across slabs first* (via
-    :func:`_grouped_sum`) and a single chain widens the total — one add
-    per slab plus one chain, instead of a full chain per slab."""
-    total = count << c
-    masks = _count_masks(c, total)
-    tb = count << (c - 3)
-    fb = int.from_bytes
-    tab = _BYTE_COUNT
-    y, _ = _grouped_sum(
-        [fb(x.to_bytes(tb, "little").translate(tab), "little") for x in slabs],
-        masks[0],
-    )
-    for r in range(1, len(masks)):
-        w = 8 << r
-        m = masks[r]
-        y = (y & m) + ((y >> w) & m)
-    return y
-
-
-def batch_weights(bits_list: Sequence[int], n: int) -> List[int]:
-    """Per-table on-set weights through the slab pipeline.
-
-    Exists for completeness and differential testing; a bare
-    ``int.bit_count`` per table is faster at every width (see
-    :data:`repro.kernels.popcount.AUTO_REDUCE_MAX_N`) and remains what
-    dispatch picks for standalone weights.
-    """
-    return [b.bit_count() for b in bits_list]
-
-
-def _slab_columns(
-    bits_list: Sequence[int], n: int, count: int, h: int, want_mins: bool = True
-):
+def _slab_columns(bits_list: Sequence[int], n: int, count: int, h: int):
     """The slab twin of :func:`repro.kernels.prekey._lane_columns`:
     per-table total weights, per-axis negative-cofactor-weight columns
     and per-axis ``min(ncw, pcw)`` columns, from one pass.
@@ -252,16 +199,14 @@ def _slab_columns(
     # SWAR min(ncw, pcw), same borrow trick as the flat pipeline: the
     # probe bit sits at position n of each 2**c-bit field (2**c > n for
     # every supported width).
-    min_cols = None
-    if want_mins:
-        P = lanes.rep_bit(n, 1 << c, total)
-        mins_f = []
-        for E in ncw_f:
-            pcw = S - E
-            ge = ((E | P) - pcw) & P
-            bf = ge - (ge >> n)
-            mins_f.append(E ^ ((E ^ pcw) & bf))
-        min_cols = [lanes.extract_lanes(x, cb, count, half) for x in mins_f]
+    P = lanes.rep_bit(n, 1 << c, total)
+    mins_f = []
+    for E in ncw_f:
+        pcw = S - E
+        ge = ((E | P) - pcw) & P
+        bf = ge - (ge >> n)
+        mins_f.append(E ^ ((E ^ pcw) & bf))
+    min_cols = [lanes.extract_lanes(x, cb, count, half) for x in mins_f]
     ncw_cols = [lanes.extract_lanes(x, cb, count, half) for x in ncw_f]
     w = lanes.extract_lanes(S, cb, count, size)
     return w, ncw_cols, min_cols
@@ -279,185 +224,6 @@ def batch_prekeys(
     if not count:
         return [], []
     if not supported(n):
-        from repro.kernels import prekey as _prekey
-
-        return _prekey.batch_prekeys(bits_list, n)
-    from repro.kernels.prekey import finish_prekeys
-
+        return prekey.batch_prekeys(bits_list, n)
     cols = _slab_columns(bits_list, n, count, slab_h(n))
-    return finish_prekeys(cols, bits_list, n)
-
-
-def batch_cofactor_weights(
-    bits_list: Sequence[int], n: int
-) -> List[Tuple[Pair, ...]]:
-    """Per-table ``((ncw_i, pcw_i), ...)`` vectors, slab layout."""
-    count = len(bits_list)
-    if not count:
-        return []
-    if not supported(n):
-        from repro.kernels import prekey as _prekey
-
-        return _prekey.batch_cofactor_weights(bits_list, n)
-    w, ncw_cols, _ = _slab_columns(
-        bits_list, n, count, slab_h(n), want_mins=False
-    )
-    return [
-        tuple((m, fw - m) for m in nrow)
-        for fw, nrow in zip(w, zip(*ncw_cols))
-    ]
-
-
-# ---------------------------------------------------------------------------
-# FPRM / Moebius
-
-
-_fprm_byte_maps: Dict[int, bytes] = {}
-
-
-def _fprm_byte_map(neg3: int) -> bytes:
-    """256-entry table: flip the negative low axes (``neg3`` bits 0..2),
-    then the Moebius rounds for axes 0..2 — the whole low band of the
-    FPRM transform as one byte permutation-free translate."""
-    tab = _fprm_byte_maps.get(neg3)
-    if tab is None:
-        out = []
-        lowm = (0x55, 0x33, 0x0F)
-        for b in range(256):
-            x = b
-            for i in range(3):
-                if (neg3 >> i) & 1:
-                    w = 1 << i
-                    m = lowm[i]
-                    x = ((x & m) << w) | ((x >> w) & m)
-            for i in range(3):
-                x ^= (x & lowm[i]) << (1 << i)
-                x &= 0xFF
-            out.append(x)
-        tab = _fprm_byte_maps[neg3] = bytes(out)
-    return tab
-
-
-def _fprm_slabs(
-    sbufs: List[bytes], n: int, count: int, h: int, polarity: int
-) -> List[int]:
-    """FPRM over packed slab buffers; returns transformed slab ints.
-
-    High-axis polarity flips are a slab-index permutation (zero bit
-    work), the low band is one translate, mid-axis flips fuse into
-    their Moebius round (``hi | ((lo ^ hi) << w)``), and the high-axis
-    Moebius steps are unmasked slab-pair XORs.
-    """
-    c = n - h
-    nslabs = 1 << h
-    total = count << c
-    fb = int.from_bytes
-    neg = ~polarity & ((1 << n) - 1)
-    hm = neg >> c
-    if hm:
-        sbufs = [sbufs[s ^ hm] for s in range(nslabs)]
-    tmap = _fprm_byte_map(neg & 7)
-    ops = [
-        ((neg >> i) & 1, 1 << i, lanes.rep_axis(c, i, total))
-        for i in range(3, c)
-    ]
-    slabs = []
-    for sbuf in sbufs:
-        x = fb(sbuf.translate(tmap), "little")
-        for f, w, m in ops:
-            if f:
-                lo = x & m
-                hi = (x >> w) & m
-                x = hi | ((lo ^ hi) << w)
-            else:
-                x ^= (x & m) << w
-        slabs.append(x)
-    for j in range(h):
-        bit = 1 << j
-        for s in range(nslabs):
-            if s & bit:
-                slabs[s] ^= slabs[s ^ bit]
-    return slabs
-
-
-def batch_fprm(bits_list: Sequence[int], n: int, polarity: int) -> List[int]:
-    """Slab-layout FPRM coefficient vectors for a whole batch.
-
-    Per-table equal to ``fprm_coefficients(bits, n, polarity)``.  Falls
-    back to the flat lane kernel below the supported width.
-    """
-    if not 0 <= polarity < (1 << n):
-        raise ValueError("polarity vector out of range")
-    count = len(bits_list)
-    if not count:
-        return []
-    if not supported(n):
-        from repro.kernels import transform as _transform
-
-        return _transform.batch_fprm(bits_list, n, polarity)
-    h = slab_h(n)
-    slabs = _fprm_slabs(pack_slabs(bits_list, n, h), n, count, h, polarity)
-    return unpack_slabs(slabs, n, count, h)
-
-
-def batch_mobius(bits_list: Sequence[int], n: int) -> List[int]:
-    """Slab-layout Moebius transform (FPRM at the all-positive
-    polarity)."""
-    return batch_fprm(bits_list, n, (1 << n) - 1)
-
-
-def fprm_ladder_weights(
-    bits_list: Sequence[int], n: int, polarities: Sequence[int]
-) -> List[List[int]]:
-    """GRM spectrum weights for every table under a *ladder* of
-    polarities: ``out[p][k] == fprm_coefficients(bits_list[k], n,
-    polarities[p]).bit_count()``.
-
-    This is the paper's polarity-sweep workload (compare GRM weight
-    vectors across polarities) and where the slab layout is strongest:
-    the batch is packed and fully transformed once, then each further
-    polarity is an *incremental* update — toggling the polarity of axis
-    ``i`` maps the coefficient vector by one fold ``c ^= (c >> 2**i)
-    masked to even fields`` (for in-slab axes) or one unmasked XOR per
-    slab pair (for high axes, at half traffic and no mask), never a
-    fresh transform.  Per-lane weights come from the popcount translate
-    chain after each step.
-    """
-    count = len(bits_list)
-    if not polarities:
-        return []
-    if not count:
-        return [[] for _ in polarities]
-    if not supported(n):
-        from repro.grm.transform import fprm_coefficients
-
-        return [
-            [fprm_coefficients(b, n, p).bit_count() for b in bits_list]
-            for p in polarities
-        ]
-    h = slab_h(n)
-    c = n - h
-    nslabs = 1 << h
-    total = count << c
-    size = 1 << n
-    slabs = _fprm_slabs(
-        pack_slabs(bits_list, n, h), n, count, h, polarities[0]
-    )
-    out = []
-    cur = polarities[0]
-    cb = 1 << (c - 3)
-    for p in polarities:
-        for i in bitops.iter_bits(cur ^ p):
-            if i >= c:
-                bit = 1 << (i - c)
-                for s in range(nslabs):
-                    if not s & bit:
-                        slabs[s] ^= slabs[s | bit]
-            else:
-                w = 1 << i
-                m = lanes.rep_axis(c, i, total)
-                slabs = [x ^ ((x >> w) & m) for x in slabs]
-        cur = p
-        S = _lane_weight_sum(slabs, c, count, h)
-        out.append(list(lanes.extract_lanes(S, cb, count, size)))
-    return out
+    return prekey.finish_prekeys(cols, bits_list, n)

@@ -3,7 +3,7 @@
 Every batch kernel must match its scalar reference bit-for-bit on the
 same inputs — seeded random batches across widths, uneven lane counts,
 and constant-0/1 edge lanes — and the classification engine must produce
-identical partitions under every kernel dispatch mode.
+identical partitions under both kernel dispatch modes.
 """
 
 import random
@@ -13,10 +13,10 @@ import pytest
 from repro import kernels
 from repro.boolfunc import walsh
 from repro.boolfunc.truthtable import TruthTable
+from repro.cli import main as cli_main
 from repro.core import sensitivity
 from repro.engine import EngineOptions, classify_batch
 from repro.engine.prekey import coarse_prekey
-from repro.grm.transform import fprm_coefficients
 from repro.kernels import lanes
 from repro.testing.fuzzer import FuzzConfig, run_fuzz
 from repro.utils import bitops
@@ -50,7 +50,6 @@ def test_batch_prekeys_and_weights_match_scalar(n):
     keys, weights = kernels.batch_prekeys(bl, n)
     assert keys == [coarse_prekey(TruthTable(n, b)) for b in bl]
     assert weights == scalar_weights(bl, n)
-    assert kernels.batch_cofactor_weights(bl, n) == weights
 
 
 @pytest.mark.parametrize("n", (16, 17))
@@ -68,23 +67,20 @@ def test_batch_prekeys_wide_tables(n):
 
 
 @pytest.mark.parametrize("n", range(0, 9))
-def test_batch_influence_and_sensitivity_match_scalar(n):
+def test_batch_influence_matches_scalar(n):
     rng = random.Random(700 + n)
     bl = batch_for(n, rng, extra=13)
     assert kernels.batch_influence(bl, n) == [
         sensitivity.influence_vector(TruthTable(n, b)) for b in bl
     ]
-    assert kernels.batch_sensitivity(bl, n) == [
-        sensitivity.sensitivity_data(TruthTable(n, b)) for b in bl
-    ]
 
 
 @pytest.mark.parametrize("n", (16, 17))
-def test_batch_influence_and_sensitivity_wide_tables(n):
-    # Lane values (influence / histogram counts) reach 2**(n-1) and 2**n
-    # here, exercising multi-byte lane extraction just like the wide
-    # pre-key regression above.  Constants (empty boundary everywhere)
-    # and a full-support function ride along with random lanes.
+def test_batch_influence_wide_tables(n):
+    # Above BATCH_MAX_N the batch API routes every lane to the scalar
+    # loop; influence counts reach 2**(n-1) here.  Constants (empty
+    # boundary everywhere) and a full-support function ride along with
+    # random lanes.
     rng = random.Random(800 + n)
     size = 1 << n
     bl = [0, (1 << size) - 1, bitops.axis_mask(n, n - 1), TruthTable.parity(n).bits]
@@ -93,74 +89,25 @@ def test_batch_influence_and_sensitivity_wide_tables(n):
     assert kernels.batch_influence(bl, n) == [
         sensitivity.influence_vector(t) for t in tables
     ]
-    assert kernels.batch_sensitivity(bl, n) == [
-        sensitivity.sensitivity_data(t) for t in tables
-    ]
-
-
-def test_batch_weights_reduce_rejects_small_n():
-    with pytest.raises(ValueError):
-        kernels.batch_weights([0b01, 0b11], 1, "reduce")
-
-
-@pytest.mark.parametrize("n", range(0, 9))
-def test_batch_weights_strategies_agree(n):
-    rng = random.Random(200 + n)
-    bl = batch_for(n, rng)
-    expected = [b.bit_count() for b in bl]
-    assert kernels.batch_weights(bl, n) == expected
-    assert kernels.batch_weights(bl, n, "extract") == expected
-    if n >= 3:
-        assert kernels.batch_weights(bl, n, "reduce") == expected
-    with pytest.raises(ValueError):
-        kernels.batch_weights(bl, max(n, 3), "simd")
-
-
-@pytest.mark.parametrize("n", range(0, 8))
-def test_batch_fprm_matches_scalar(n):
-    rng = random.Random(300 + n)
-    bl = batch_for(n, rng, extra=13)
-    polarities = {0, (1 << n) - 1}
-    polarities.update(rng.getrandbits(n) for _ in range(3))
-    for pol in polarities:
-        assert kernels.batch_fprm(bl, n, pol) == [
-            fprm_coefficients(b, n, pol) for b in bl
-        ]
-    with pytest.raises(ValueError):
-        kernels.batch_fprm(bl, n, 1 << n)
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-def test_batch_structural_transforms_match_scalar(n):
-    rng = random.Random(400 + n)
-    bl = batch_for(n, rng, extra=11)
-    for i in range(n):
-        assert kernels.batch_flip_axis(bl, n, i) == [
-            bitops.flip_axis(b, n, i) for b in bl
-        ]
-    for neg in (0, (1 << n) - 1, rng.getrandbits(n)):
-        assert kernels.batch_negate_inputs(bl, n, neg) == [
-            bitops.negate_inputs(b, n, neg) for b in bl
-        ]
-    assert kernels.batch_mobius(bl, n) == [bitops.mobius(b, n) for b in bl]
-    tm = bitops.table_mask(n)
-    assert kernels.batch_output_complement(bl, n) == [b ^ tm for b in bl]
 
 
 def test_pack_unpack_roundtrip_uneven_counts():
+    # Lane k of the packed integer is bytes [k * lb, (k + 1) * lb).
     rng = random.Random(7)
     for n in (0, 1, 3, 5, 8):
+        lb = lanes.lane_bytes(n)
         for count in (1, 2, 7, 33):
             bl = [rng.getrandbits(1 << n) for _ in range(count)]
-            assert lanes.unpack_tables(lanes.pack_tables(bl, n), n, count) == bl
+            buf = lanes.pack_tables(bl, n).to_bytes(count * lb, "little")
+            assert [
+                int.from_bytes(buf[k * lb:(k + 1) * lb], "little")
+                for k in range(count)
+            ] == bl
 
 
 def test_empty_batches():
     assert kernels.batch_prekeys([], 5) == ([], [])
-    assert kernels.batch_cofactor_weights([], 4) == []
-    assert kernels.batch_weights([], 4) == []
-    assert kernels.batch_fprm([], 4, 0) == []
-    assert kernels.batch_mobius([], 4) == []
+    assert kernels.batch_influence([], 5) == []
 
 
 def test_single_variable_prekey_fallback():
@@ -174,11 +121,21 @@ def test_single_variable_prekey_fallback():
 def test_should_batch_dispatch():
     assert kernels.should_batch(8, kernels.KERNEL_MIN_BATCH, "auto")
     assert not kernels.should_batch(8, kernels.KERNEL_MIN_BATCH - 1, "auto")
-    assert kernels.should_batch(8, 2, "batch")
-    assert not kernels.should_batch(2, 100, "batch")  # unsupported width
+    assert not kernels.should_batch(2, 100, "auto")  # unsupported width
     assert not kernels.should_batch(8, 100, "scalar")
     with pytest.raises(ValueError):
         kernels.should_batch(8, 100, "gpu")
+
+
+@pytest.mark.parametrize("mode", ("batch", "lanes", "words"))
+def test_retired_kernel_modes_are_rejected(mode, capsys):
+    assert kernels.KERNEL_MODES == ("auto", "scalar")
+    with pytest.raises(ValueError):
+        kernels.should_batch(8, 100, mode)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["classify", "--random", "4", "--n", "4", "--kernel", mode])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", range(0, 9))

@@ -1,9 +1,9 @@
 """Large-``n`` stress paths: end-to-end classification of 14-variable
 functions through the engine, the store and the CLI.
 
-These exercise the word-array slab kernels at the widths they were
-built for (2**14-bit tables, where the flat lane layout loses to
-scalar), so they are excluded from tier-1 and run with ``--runslow``.
+These exercise the word-array slab pre-keys, which ``auto`` dispatch
+picks at this width (2**14-bit tables, where the flat lane layout loses
+to scalar), so they are excluded from tier-1 and run with ``--runslow``.
 """
 
 import random
@@ -36,7 +36,7 @@ def test_engine_classifies_random_n14_through_slab_kernels():
     rng = random.Random(1400)
     base, batch = _stress_batch(rng)
     result = classify_batch(
-        batch, options=EngineOptions(kernel="words", workers=0)
+        batch, options=EngineOptions(kernel="auto", workers=0)
     )
     assert result.num_classes == len(base)
     assert result.stats.kernel_batched == len(batch)
@@ -53,14 +53,14 @@ def test_engine_n14_with_store_roundtrip(tmp_path):
     store_dir = tmp_path / "classes"
     store = ClassStore(store_dir)
     first = ClassificationEngine(
-        EngineOptions(kernel="words", workers=0), store=store
+        EngineOptions(kernel="auto", workers=0), store=store
     ).classify(batch)
     assert first.num_classes == len(base)
     # A fresh store over the same directory must warm-start every class
     # from the persisted shards (serialization is width-agnostic hex).
     rehydrated = ClassStore(store_dir)
     again = ClassificationEngine(
-        EngineOptions(kernel="words", workers=0), store=rehydrated
+        EngineOptions(kernel="auto", workers=0), store=rehydrated
     ).classify([TruthTable(t.n, t.bits) for t in batch])
     assert again.num_classes == first.num_classes
     assert set(again.members) == set(first.members)
@@ -77,7 +77,7 @@ def test_cli_classify_random_n14_stress(capsys):
             "--seed",
             "7",
             "--kernel",
-            "words",
+            "auto",
             "--stats",
         ]
     )

@@ -60,7 +60,7 @@ def test_full_registry_maps_and_verifies(name):
 def test_scalar_and_batch_kernels_emit_identical_covers(name):
     aig = _aig(name)
     covers = {}
-    for kernel in ("scalar", "batch"):
+    for kernel in ("scalar", "auto"):
         mapper = AigMapper(engine_options=EngineOptions(kernel=kernel))
         result = mapper.map(aig)
         assert result is not None
@@ -68,8 +68,8 @@ def test_scalar_and_batch_kernels_emit_identical_covers(name):
             result.area,
             write_blif(result.to_netlist()),
         )
-    assert covers["scalar"][0] == covers["batch"][0]
-    assert covers["scalar"][1] == covers["batch"][1]  # byte-identical
+    assert covers["scalar"][0] == covers["auto"][0]
+    assert covers["scalar"][1] == covers["auto"][1]  # byte-identical
 
 
 # ----------------------------------------------------------------------
