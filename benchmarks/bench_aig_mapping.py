@@ -1,12 +1,9 @@
 """AIG mapping — the matcher embedded in a production-shaped flow.
 
-Measures cut-based technology mapping over benchmark AIGs in both
-mapper modes: the two-phase batched flow (cut-function dedup, engine
-classification, witness-replay binds) and the historical percut
-baseline (one ``canonical_form`` per cut plus a mapper-local class
-cache — the modern descendant of the paper's "precompute the GRM
-signatures of the library").  See ``bench_netlist_flow.py`` for the
-full-registry wall-clock comparison.
+Measures cut-based technology mapping over benchmark AIGs through the
+two-phase flow (cut-function dedup, engine classification,
+witness-replay binds).  See ``bench_netlist_flow.py`` for the
+full-registry wall-clock comparison of its engine configurations.
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ def test_mapping_report(benchmark):
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit_header("AIG technology mapping — the batched two-phase flow")
+    emit_header("AIG technology mapping — the two-phase flow")
     emit(
         f"{'circuit':<8} {'ANDs':>6} {'cells':>6} {'area':>8} "
         f"{'cuts':>7} {'distinct':>9} {'classes':>8} {'time':>8}"
@@ -78,57 +75,26 @@ def test_mapping_report(benchmark):
         assert cells <= ands  # mapping must compress the AND graph
 
 
-def test_batched_vs_percut(benchmark):
-    def run():
-        rows = []
-        for name in ("z4ml", "rd73"):
-            aig = _subject(name)
-            t0 = time.perf_counter()
-            batched = AigMapper().map(aig)
-            t_batched = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            percut = AigMapper(mode="percut").map(aig)
-            t_percut = time.perf_counter() - t0
-            assert batched is not None and percut is not None
-            rows.append((name, t_batched, t_percut, batched.stats, percut.stats))
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit_header("Batched vs percut matching on the same subjects")
-    emit(
-        f"{'circuit':<8} {'batched':>9} {'percut':>9} {'speedup':>8} "
-        f"{'replays':>8} {'matcher calls':>14}"
-    )
-    for name, t_b, t_p, sb, sp in rows:
-        emit(
-            f"{name:<8} {t_b:>8.3f}s {t_p:>8.3f}s {t_p / t_b:>7.1f}x "
-            f"{sb.witness_replays:>8} {sp.matcher_calls:>14}"
-        )
-        assert sb.matcher_calls == 0  # batched never runs the matcher
-
-
-def test_class_cache_effectiveness(benchmark):
+def test_engine_cache_effectiveness(benchmark):
     aig = _subject("z4ml")
 
     def cold_and_warm():
-        percut = AigMapper(mode="percut")
-        stats_cold = percut.map(aig).stats
-        stats_warm = percut.map(aig).stats  # second run shares the cache
-        batched = AigMapper()
-        batched.map(aig)
-        engine_warm = batched.map(aig).stats  # engine key cache this time
-        return stats_cold, stats_warm, engine_warm
+        mapper = AigMapper()
+        cold = mapper.map(aig)
+        warm = mapper.map(aig)  # engine key cache this time
+        return cold, warm
 
-    stats_cold, stats_warm, engine_warm = benchmark.pedantic(
-        cold_and_warm, rounds=1, iterations=1
-    )
-    emit_header("npn-class caches — cold vs warm mapping of z4ml")
-    emit(f"{'percut':<18} {'cold':>8} {'warm':>8}")
-    emit(f"{'cache hits':<18} {stats_cold.class_cache_hits:>8} {stats_warm.class_cache_hits:>8}")
-    emit(f"{'matcher calls':<18} {stats_cold.matcher_calls:>8} {stats_warm.matcher_calls:>8}")
+    cold, warm = benchmark.pedantic(cold_and_warm, rounds=1, iterations=1)
+    emit_header("engine key cache — cold vs warm mapping of z4ml")
+    emit(f"{'':<18} {'cold':>8} {'warm':>8}")
     emit(
-        f"{'batched rerun':<18} {'engine cache hits':>18} "
-        f"{engine_warm.engine_cache_hits:>8}"
+        f"{'cache hits':<18} {cold.stats.engine_cache_hits:>8} "
+        f"{warm.stats.engine_cache_hits:>8}"
     )
-    assert stats_warm.class_cache_hits >= stats_cold.class_cache_hits
-    assert engine_warm.engine_cache_hits > 0
+    emit(
+        f"{'canonicalizations':<18} {cold.stats.engine_canonicalizations:>8} "
+        f"{warm.stats.engine_canonicalizations:>8}"
+    )
+    assert warm.stats.engine_cache_hits > 0
+    assert warm.stats.matcher_calls == 0  # the flow never runs the matcher
+    assert warm.area == cold.area  # the cache never changes the cover

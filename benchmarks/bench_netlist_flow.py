@@ -1,34 +1,32 @@
-"""Whole-netlist mapping benchmark: the two-phase batched flow vs percut.
+"""Whole-netlist mapping benchmark: one mapping path, three engine arms.
 
 Standalone (argparse, no pytest) so CI can run it as a smoke step::
 
     PYTHONPATH=src python benchmarks/bench_netlist_flow.py --guardrail
 
 Maps every circuit of the benchmark registry (53 Table-1 + 4 extra)
-through four mapper configurations and records wall-clock, dedup, and
-engine counters per mode:
+through three mapper configurations and records wall-clock, dedup, and
+engine counters per arm:
 
-* ``percut`` — the historical baseline: one ``canonical_form`` per cut,
-  a mapper-local class cache, and a full matcher call per cache hit.
-* ``batched_scalar_cold`` — the two-phase flow (catalog → engine
-  classify → witness-replay bind) with the scalar pre-key kernel and no
-  persistent store.
-* ``batched_batch_cold`` — same with the bit-parallel batch kernel
-  (``kernel="auto"``; the covers must be identical — kernel choice
-  never changes results).
-* ``batched_batch_warm`` — batch kernel plus a class store seeded by a
-  prior (untimed) pass over the same circuits, so classification
-  warm-starts from store membership probes.
+* ``scalar_cold`` — the two-phase flow (catalog → engine classify →
+  witness-replay bind) with the scalar pre-key kernel and no persistent
+  store.  The baseline.
+* ``auto_cold`` — same with the bit-parallel batch kernel
+  (``kernel="auto"``).
+* ``auto_warm`` — batch kernel plus a class store seeded by a prior
+  (untimed) pass over the same circuits, so classification warm-starts
+  from store membership probes.
 
-Each mode reuses ONE mapper across all circuits — exactly how a
-library-characterization loop would run — so within-mode caches work
-for every mode alike.  Every produced cover must pass the mapped-vs-AIG
-``verify()`` (outside the timed region).  The acceptance guardrail:
-``batched_batch_warm`` total wall-clock beats ``percut``.
+Each arm reuses ONE mapper across all circuits — exactly how a
+library-characterization loop would run — so within-arm caches work
+for every arm alike.  Every produced cover must pass the mapped-vs-AIG
+``verify()`` (outside the timed region).  The three arms must emit
+identical covers: the same area and, node by node, the same cut, cell
+and pin assignment.  A run whose arms differ exits 1, so every speedup
+the report states is between runs with the same output.
 
 Results are written to ``BENCH_netlist_flow.json`` (override with
-``--out``); ``--guardrail`` runs a 5-circuit subset and enforces the
-win, ``--quick`` is the same subset without the assertion.
+``--out``); ``--guardrail`` runs a 6-circuit subset.
 """
 
 from __future__ import annotations
@@ -45,10 +43,13 @@ from pathlib import Path
 
 from repro.aig import Aig, AigMapper
 from repro.benchcircuits.suite import EXTRA_CIRCUITS, TABLE1_CIRCUITS, build_circuit
-from repro.engine import ClassificationEngine, EngineOptions
+from repro.engine import EngineOptions
 from repro.store import ClassStore
 
-GUARDRAIL_CIRCUITS = ["rd73", "z4ml", "f51m", "9sym", "alu2"]
+GUARDRAIL_CIRCUITS = ["lal", "rd73", "z4ml", "f51m", "9sym", "alu2"]
+"""``lal`` is in the subset because a store seeded with its classes
+hands z4ml another witness than a cold engine finds, which is how a
+witness-dependent bind used to give z4ml a different cover warm."""
 VERIFY_MAX_INPUTS = 21  # cm150a's exact 21-input mux cone is the widest
 
 
@@ -63,7 +64,15 @@ def build_aigs(names):
     return aigs
 
 
-def run_mode(mode_name, mapper, aigs, verify):
+def cover_of(result):
+    """Area and per-node ``(cut leaves, cell, transform)`` of a cover."""
+    return result.area, {
+        node: (m.cut.leaves, m.binding.cell.name, m.binding.transform)
+        for node, m in result.nodes.items()
+    }
+
+
+def run_arm(arm_name, mapper, aigs, verify):
     """Map every AIG through one persistent mapper; verify untimed."""
     per_circuit = {}
     total = 0.0
@@ -73,7 +82,6 @@ def run_mode(mode_name, mapper, aigs, verify):
         "cut_classes": 0,
         "witness_replays": 0,
         "matcher_calls": 0,
-        "canonicalizations": 0,
         "engine_canonicalizations": 0,
         "engine_cache_hits": 0,
         "engine_store_hits": 0,
@@ -84,7 +92,7 @@ def run_mode(mode_name, mapper, aigs, verify):
         t0 = time.perf_counter()
         result = mapper.map(aig)
         elapsed = time.perf_counter() - t0
-        assert result is not None, f"{mode_name}: {name} failed to map"
+        assert result is not None, f"{arm_name}: {name} failed to map"
         total += elapsed
         results[name] = result
         s = result.stats
@@ -97,20 +105,22 @@ def run_mode(mode_name, mapper, aigs, verify):
             "area": result.area,
             "cuts_evaluated": s.cuts_evaluated,
             "distinct_cut_functions": s.distinct_cut_functions,
+            "bind_seconds": s.bind_seconds,
         }
     if verify:
         for name, result in results.items():
             assert result.verify(
                 max_inputs=VERIFY_MAX_INPUTS
-            ), f"{mode_name}: {name} cover failed verification"
-    # percut never fills the distinct-function counter; report no rate.
+            ), f"{arm_name}: {name} cover failed verification"
     dedup = (
         1.0 - agg["distinct_cut_functions"] / agg["cuts_evaluated"]
-        if agg["cuts_evaluated"] and agg["distinct_cut_functions"]
+        if agg["cuts_evaluated"]
         else None
     )
     summary = {
         "total_seconds": total,
+        "total_area": sum(row["area"] for row in per_circuit.values()),
+        "bind_seconds": sum(row["bind_seconds"] for row in per_circuit.values()),
         "circuits": len(aigs),
         "circuits_per_second": len(aigs) / total if total else 0.0,
         "dedup_rate": dedup,
@@ -118,14 +128,14 @@ def run_mode(mode_name, mapper, aigs, verify):
         "aggregate": agg,
         "per_circuit": per_circuit,
     }
-    dedup_text = f"{dedup * 100.0:5.1f}%" if dedup is not None else "   n/a"
     print(
-        f"{mode_name:22s} {total:8.2f}s total  "
+        f"{arm_name:12s} {total:8.2f}s total  "
         f"{summary['circuits_per_second']:6.2f} circuits/s  "
-        f"dedup {dedup_text}  "
+        f"dedup {dedup * 100.0 if dedup is not None else 0.0:5.1f}%  "
+        f"area {summary['total_area']:.1f}  "
         f"store hits {agg['engine_store_hits']}"
     )
-    return summary, results
+    return summary, {name: cover_of(result) for name, result in results.items()}
 
 
 def main(argv=None) -> int:
@@ -133,10 +143,7 @@ def main(argv=None) -> int:
     ap.add_argument(
         "--guardrail",
         action="store_true",
-        help="5-circuit subset; assert batched_batch_warm beats percut",
-    )
-    ap.add_argument(
-        "--quick", action="store_true", help="the guardrail subset, no assertion"
+        help="6-circuit subset (the arms must still emit identical covers)",
     )
     ap.add_argument("--cut-size", type=int, default=4)
     ap.add_argument("--out", default=None, help="JSON output path")
@@ -145,9 +152,7 @@ def main(argv=None) -> int:
     )
     args = ap.parse_args(argv)
 
-    names = (
-        GUARDRAIL_CIRCUITS if (args.guardrail or args.quick) else registry_names()
-    )
+    names = GUARDRAIL_CIRCUITS if args.guardrail else registry_names()
     verify = not args.no_verify
     print(f"building {len(names)} subject AIGs ...")
     aigs = build_aigs(names)
@@ -161,73 +166,44 @@ def main(argv=None) -> int:
         "verify_max_inputs": VERIFY_MAX_INPUTS,
         "modes": {},
     }
+    covers = {}
 
-    report["modes"]["percut"], _ = run_mode(
-        "percut",
-        AigMapper(cut_size=args.cut_size, mode="percut"),
-        aigs,
-        verify,
-    )
-
-    report["modes"]["batched_scalar_cold"], scalar_results = run_mode(
-        "batched_scalar_cold",
-        AigMapper(
-            cut_size=args.cut_size,
-            engine_options=EngineOptions(kernel="scalar"),
-        ),
-        aigs,
-        verify,
-    )
-
-    report["modes"]["batched_batch_cold"], batch_results = run_mode(
-        "batched_batch_cold",
-        AigMapper(
-            cut_size=args.cut_size,
-            engine_options=EngineOptions(kernel="auto"),
-        ),
-        aigs,
-        verify,
-    )
-
-    # Kernel choice must not change the result: compare the covers.
-    for name in names:
-        a, b = scalar_results[name], batch_results[name]
-        assert a.area == b.area and set(a.nodes) == set(b.nodes), (
-            f"kernel scalar vs batch diverged on {name}"
+    for arm, kernel in (("scalar_cold", "scalar"), ("auto_cold", "auto")):
+        report["modes"][arm], covers[arm] = run_arm(
+            arm,
+            AigMapper(cut_size=args.cut_size, engine_options=EngineOptions(kernel=kernel)),
+            aigs,
+            verify,
         )
 
     store_dir = tempfile.mkdtemp(prefix="bench_netlist_store_")
     try:
         seed_store = ClassStore(store_dir, create=True)
-        seeder = AigMapper(
-            cut_size=args.cut_size,
-            engine_options=EngineOptions(kernel="auto"),
-            store=seed_store,
-        )
+        seeder = AigMapper(cut_size=args.cut_size, store=seed_store)
         for aig in aigs.values():  # untimed write-back pass
             seeder.map(aig)
         seed_store.flush()
 
-        warm_store = ClassStore(store_dir)
-        report["modes"]["batched_batch_warm"], _ = run_mode(
-            "batched_batch_warm",
-            AigMapper(
-                cut_size=args.cut_size,
-                engine_options=EngineOptions(kernel="auto"),
-                store=warm_store,
-            ),
+        report["modes"]["auto_warm"], covers["auto_warm"] = run_arm(
+            "auto_warm",
+            AigMapper(cut_size=args.cut_size, store=ClassStore(store_dir)),
             aigs,
             verify,
         )
     finally:
         shutil.rmtree(store_dir, ignore_errors=True)
 
-    percut_s = report["modes"]["percut"]["total_seconds"]
-    warm_s = report["modes"]["batched_batch_warm"]["total_seconds"]
-    report["speedup_warm_vs_percut"] = percut_s / warm_s if warm_s else 0.0
-    print(
-        f"batched_batch_warm vs percut: {report['speedup_warm_vs_percut']:.2f}x"
+    differ = sorted(
+        f"{arm}:{name}"
+        for arm in ("auto_cold", "auto_warm")
+        for name in names
+        if covers[arm][name] != covers["scalar_cold"][name]
     )
+    report["covers_identical"] = not differ
+    scalar_s = report["modes"]["scalar_cold"]["total_seconds"]
+    warm_s = report["modes"]["auto_warm"]["total_seconds"]
+    report["speedup_warm_vs_scalar_cold"] = scalar_s / warm_s if warm_s else 0.0
+    print(f"auto_warm vs scalar_cold: {report['speedup_warm_vs_scalar_cold']:.2f}x")
 
     out = args.out or str(
         Path(__file__).resolve().parent.parent / "BENCH_netlist_flow.json"
@@ -235,13 +211,13 @@ def main(argv=None) -> int:
     Path(out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"report written to {out}")
 
-    if args.guardrail and warm_s >= percut_s:
+    if differ:
         print(
-            f"GUARDRAIL FAIL: batched_batch_warm {warm_s:.2f}s did not beat "
-            f"percut {percut_s:.2f}s",
+            f"GUARDRAIL FAIL: covers differ from scalar_cold on {', '.join(differ)}",
             file=sys.stderr,
         )
         return 1
+    print(f"covers identical across all three arms on {len(names)} circuits")
     return 0
 
 

@@ -56,7 +56,7 @@ def _prune(cuts: List[Cut], max_cuts: int) -> List[Cut]:
 class CutCatalog:
     """Every non-trivial cut of an AIG with its local function, deduped.
 
-    Phase one of the batched mapping flow: ``node_cuts[v]`` lists the
+    Phase one of the mapping flow: ``node_cuts[v]`` lists the
     matchable ``(cut, (n, bits))`` pairs of node ``v`` in enumeration
     order, and ``distinct_by_width[n]`` holds each distinct ``(n, bits)``
     cut function exactly once (first-seen order), grouped by support

@@ -5,24 +5,19 @@ over the subject AIG, evaluate every cut's local function, decide by
 npn matching which library cells can implement it, and pick a cover by
 dynamic programming on (duplication-ignoring) area.
 
-Two matching paths share the cover selection:
-
-* **batched** (default) — the two-phase whole-netlist flow.  Phase one
-  (:func:`repro.aig.cuts.catalog_cut_functions`) evaluates every
-  non-trivial cut once and dedups the functions by exact ``(n, bits)``
-  identity, grouped by support width.  Phase two pushes each width
-  group through the :class:`~repro.engine.ClassificationEngine`
-  (kernel-batched pre-keys, membership probes, optional persistent
-  store warm-start/write-back) and binds each resulting npn class
-  against the cell index by witness replay
-  (:meth:`~repro.library.techmap.CellLibrary.bind_with_key`) — one
-  class-key resolution per *class*, one transform composition per
-  distinct function, and no matcher run at all.
-* **percut** — the historical baseline: each cut pays
-  ``canonical_form`` and consults a mapper-local class cache; repeats
-  of a known class still pay a full matcher call for the pin
-  assignment.  Kept for parity tests and as the benchmark's
-  before-measurement.
+The mapper runs the two-phase whole-netlist flow.  Phase one
+(:func:`repro.aig.cuts.catalog_cut_functions`) evaluates every
+non-trivial cut once and dedups the functions by exact ``(n, bits)``
+identity, grouped by support width.  Phase two pushes each width group
+through the :class:`~repro.engine.ClassificationEngine` (kernel-batched
+pre-keys, membership probes, optional persistent store
+warm-start/write-back) and binds each resulting npn class against the
+cell index by witness replay
+(:meth:`~repro.library.techmap.CellLibrary.bind_with_key`) — one
+class-key resolution per *class*, one bind per distinct function, and
+no matcher run at all.  Each bind is a pure function of the cut
+function and the library, so the cover does not depend on store
+warmth, kernel, worker count or what the engine mapped before.
 """
 
 from __future__ import annotations
@@ -35,8 +30,6 @@ from repro.aig.cuts import Cut, CutCatalog, catalog_cut_functions, enumerate_cut
 from repro.aig.graph import FALSE, Aig, lit_compl, lit_var
 from repro.benchcircuits.netlist import Gate, Netlist
 from repro.boolfunc.truthtable import TruthTable
-from repro.core.canonical import canonical_form
-from repro.core.matcher import match
 from repro.engine import ClassificationEngine, ClassKey, EngineOptions
 from repro.library.techmap import Binding, CellLibrary
 from repro.obs import runtime as _obs
@@ -46,9 +39,8 @@ INVERTER_AREA = 1.0
 
 
 class MappingError(RuntimeError):
-    """An internal inconsistency in the mapping pipeline — a poisoned
-    npn-class cache, a stale store entry, or a cover that references
-    unmapped logic.  Deliberately loud: silently mis-binding a cell
+    """An internal inconsistency in the mapping pipeline — a cover that
+    references unmapped logic.  Deliberately loud: emitting such a cover
     would produce a functionally wrong netlist."""
 
 
@@ -65,13 +57,14 @@ class MappedNode:
 
 @dataclass
 class ClassAccount:
-    """Per-npn-class accounting row of one batched mapping run.
+    """Per-npn-class accounting row of one mapping run.
 
     ``distinct_functions`` counts the deduped cut functions the class
     absorbed, ``cut_occurrences`` the raw cut evaluations behind them;
-    ``cell`` is the representative bound cell (members can differ in
-    inverter counts, never in class).  ``instances``/``area`` are filled
-    after cover selection with the chosen cover elements of the class.
+    ``cell`` is the representative bound cell (members can bind to
+    other cells of the class, with other inverter counts).
+    ``instances``/``area`` are filled after cover selection with the
+    chosen cover elements of the class.
     """
 
     n: int
@@ -87,16 +80,11 @@ class ClassAccount:
 
 @dataclass
 class MappingStats:
-    """Work counters for one mapping run.
-
-    The first four fields are the historical per-cut counters (only the
-    ``percut`` path advances the cache/matcher ones); the rest describe
-    the batched flow: dedup, engine work, and witness-replay binds.
-    """
+    """Work counters for one mapping run: dedup, engine work, and
+    witness-replay binds (``matcher_calls`` counts the per-function
+    binds of quarantined classes)."""
 
     cuts_evaluated: int = 0
-    canonicalizations: int = 0
-    class_cache_hits: int = 0
     matcher_calls: int = 0
     distinct_cut_functions: int = 0
     cut_classes: int = 0
@@ -254,13 +242,10 @@ class MappingResult:
 class AigMapper:
     """Map an AIG onto a :class:`CellLibrary` with npn matching.
 
-    ``mode`` selects the matching path: ``"batched"`` (default) runs
-    the two-phase catalog → engine-classify → witness-replay flow,
-    ``"percut"`` the historical one-cut-at-a-time baseline.  A custom
-    ``engine`` (or ``engine_options``/``store``) configures the batched
-    path — pass a store-backed engine for cross-run warm starts, or
-    reuse one engine across many circuits so its canonical-key cache
-    persists.
+    A custom ``engine`` (or ``engine_options``/``store``) configures
+    classification — pass a store-backed engine for cross-run warm
+    starts, or reuse one engine across many circuits so its
+    canonical-key cache persists.  Neither changes the cover.
     """
 
     def __init__(
@@ -268,27 +253,20 @@ class AigMapper:
         library: Optional[CellLibrary] = None,
         cut_size: int = 4,
         max_cuts_per_node: int = 16,
-        mode: str = "batched",
         engine: Optional[ClassificationEngine] = None,
         engine_options: Optional[EngineOptions] = None,
         store=None,
     ):
-        if mode not in ("batched", "percut"):
-            raise ValueError(f"unknown mapping mode {mode!r}")
         if engine is not None and (engine_options is not None or store is not None):
             raise ValueError("pass either engine or engine_options/store, not both")
         self.library = library if library is not None else CellLibrary()
         self.cut_size = cut_size
         self.max_cuts_per_node = max_cuts_per_node
-        self.mode = mode
         self.engine = (
             engine
             if engine is not None
             else ClassificationEngine(engine_options or EngineOptions(), store=store)
         )
-        self._cells_by_name = {cell.name: cell for cell in self.library.cells}
-        # percut npn-class cache: canonical bits -> cheapest cell (or None).
-        self._class_cache: Dict[Tuple[int, int], Optional[str]] = {}
 
     def map(self, aig: Aig) -> Optional[MappingResult]:
         """Compute a minimum-area (duplication-ignoring) cover.
@@ -299,7 +277,6 @@ class AigMapper:
         with _obs.tracer.span("mapper.map") as span:
             result = self._map(aig)
             if span.recording:
-                span.set("mode", self.mode)
                 span.set("and_nodes", aig.num_ands())
                 if result is not None:
                     span.set("cells", len(result.nodes))
@@ -311,17 +288,15 @@ class AigMapper:
         stats = MappingStats()
         t0 = time.perf_counter()
         cuts = enumerate_cuts(aig, self.cut_size, self.max_cuts_per_node)
-        catalog: Optional[CutCatalog] = None
+        catalog = catalog_cut_functions(aig, cuts)
+        stats.cuts_evaluated = catalog.cut_functions_evaluated
+        stats.distinct_cut_functions = catalog.distinct_functions
+        stats.enumerate_seconds = time.perf_counter() - t0
         bindings: Dict[Tuple[int, int], Optional[Binding]] = {}
         table_of: Dict[Tuple[int, int], TruthTable] = {}
         accounts: Dict[ClassKey, ClassAccount] = {}
         class_of: Dict[Tuple[int, int], ClassKey] = {}
-        if self.mode == "batched":
-            catalog = catalog_cut_functions(aig, cuts)
-            stats.cuts_evaluated = catalog.cut_functions_evaluated
-            stats.distinct_cut_functions = catalog.distinct_functions
-            stats.enumerate_seconds = time.perf_counter() - t0
-            self._bind_catalog(catalog, stats, bindings, table_of, accounts, class_of)
+        self._bind_catalog(catalog, stats, bindings, table_of, accounts, class_of)
 
         best_cost: Dict[int, float] = {FALSE: 0.0}
         best_choice: Dict[int, Tuple[Cut, Binding, TruthTable]] = {}
@@ -330,14 +305,8 @@ class AigMapper:
 
         for node in aig.and_nodes():
             node_best: Optional[float] = None
-            if catalog is not None:
-                candidates = (
-                    (cut, bindings.get(key), table_of[key])
-                    for cut, key in catalog.node_cuts[node]
-                )
-            else:
-                candidates = self._percut_candidates(aig, cuts[node], node, stats)
-            for cut, binding, function in candidates:
+            for cut, key in catalog.node_cuts[node]:
+                binding = bindings.get(key)
                 if binding is None:
                     continue
                 if any(leaf not in best_cost for leaf in cut.leaves):
@@ -349,7 +318,7 @@ class AigMapper:
                 )
                 if node_best is None or cost < node_best:
                     node_best = cost
-                    best_choice[node] = (cut, binding, function)
+                    best_choice[node] = (cut, binding, table_of[key])
             if node_best is None:
                 return None
             best_cost[node] = node_best
@@ -368,11 +337,9 @@ class AigMapper:
             chosen[node] = MappedNode(node, cut, binding, function)
             cell_area = binding.cell.area + INVERTER_AREA * binding.inverter_count()
             area += cell_area
-            if accounts:
-                account = accounts.get(class_of.get((function.n, function.bits)))
-                if account is not None:
-                    account.instances += 1
-                    account.area += cell_area
+            account = accounts[class_of[(function.n, function.bits)]]
+            account.instances += 1
+            account.area += cell_area
             stack.extend(cut.leaves)
         area += INVERTER_AREA * sum(
             1 for _, literal in aig.outputs if lit_compl(literal)
@@ -389,7 +356,7 @@ class AigMapper:
         )
 
     # ------------------------------------------------------------------
-    # Phase two of the batched flow
+    # Phase two: classify and bind
     # ------------------------------------------------------------------
 
     def _bind_catalog(
@@ -475,47 +442,3 @@ class AigMapper:
                 stats.distinct_cut_functions
             )
             reg.counter("mapper.cuts_evaluated").inc(stats.cuts_evaluated)
-
-    # ------------------------------------------------------------------
-    # The percut baseline
-    # ------------------------------------------------------------------
-
-    def _percut_candidates(self, aig: Aig, node_cuts: List[Cut], node: int, stats: MappingStats):
-        for cut in node_cuts:
-            if cut.leaves == (node,):
-                continue  # trivial cut cannot implement the node
-            stats.cuts_evaluated += 1
-            function = aig.cut_function(node, cut.leaves)
-            yield cut, self._bind(function, stats), function
-
-    def _bind(self, function: TruthTable, stats: MappingStats) -> Optional[Binding]:
-        canon, _ = canonical_form(function)
-        stats.canonicalizations += 1
-        key = (function.n, canon.bits)
-        if key not in self._class_cache:
-            binding = self.library.bind(function)
-            stats.matcher_calls += 1
-            self._class_cache[key] = binding.cell.name if binding else None
-            return binding
-        stats.class_cache_hits += 1
-        cell_name = self._class_cache[key]
-        if cell_name is None:
-            return None
-        cell = self._cells_by_name.get(cell_name)
-        if cell is None:
-            raise MappingError(
-                f"npn-class cache poisoned: class (n={key[0]}, key=0x{key[1]:x}) "
-                f"records unknown cell {cell_name!r}"
-            )
-        transform = match(cell.function, function)
-        stats.matcher_calls += 1
-        if transform is None:
-            # Class equality must guarantee a match; surviving a stale or
-            # poisoned cache entry here would emit a functionally wrong
-            # netlist, so fail loudly (an assert would vanish under -O).
-            raise MappingError(
-                f"npn-class cache poisoned: cell {cell_name!r} recorded for "
-                f"class (n={key[0]}, key=0x{key[1]:x}) does not match cut "
-                f"function 0x{function.bits:x}"
-            )
-        return Binding(cell, transform)

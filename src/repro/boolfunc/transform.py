@@ -21,10 +21,24 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.boolfunc.truthtable import TruthTable
 from repro.utils import bitops
+
+
+RawTransform = Tuple[Tuple[int, ...], int, bool]
+"""An :class:`NpnTransform`'s ``(perm, input_neg, output_neg)`` fields,
+unvalidated, for loops too hot to build transform objects."""
+
+
+def compose_raw(outer: RawTransform, inner: RawTransform) -> RawTransform:
+    """:meth:`NpnTransform.compose` on raw triples: ``inner``, then ``outer``."""
+    outer_perm, outer_neg, outer_out = outer
+    perm, neg, out = inner
+    for i, j in enumerate(perm):
+        neg ^= ((outer_neg >> j) & 1) << i
+    return tuple(outer_perm[j] for j in perm), neg, out ^ outer_out
 
 
 @dataclass(frozen=True)
@@ -71,13 +85,12 @@ class NpnTransform:
         """
         if first.n != self.n:
             raise ValueError("mixed-width transforms")
-        p1, p2 = first.perm, self.perm
-        perm = tuple(p2[p1[i]] for i in range(self.n))
-        neg = 0
-        for i in range(self.n):
-            bit = ((first.input_neg >> i) & 1) ^ ((self.input_neg >> p1[i]) & 1)
-            neg |= bit << i
-        return NpnTransform(perm, neg, first.output_neg ^ self.output_neg)
+        return NpnTransform(
+            *compose_raw(
+                (self.perm, self.input_neg, self.output_neg),
+                (first.perm, first.input_neg, first.output_neg),
+            )
+        )
 
     def invert(self) -> "NpnTransform":
         """The inverse group element."""
@@ -109,6 +122,29 @@ def all_transforms(n: int, include_output_neg: bool = True) -> Iterator[NpnTrans
         for neg in range(1 << n):
             for out in outs:
                 yield NpnTransform(perm, neg, out)
+
+
+def automorphisms(n: int, bits: int) -> List[RawTransform]:
+    """Every transform ``a`` with ``a.apply(f) == f`` for the ``n``-input
+    table ``bits`` (the npn symmetry group of ``f``), as raw triples.
+
+    Works on packed ints: the ``2**n`` input negations of ``f`` are
+    tabulated once, then each permutation/output-phase pair costs one
+    table permutation and a dictionary lookup, since ``a`` fixes ``f``
+    exactly when ``f`` with inputs ``input_neg`` negated equals
+    ``f ⊕ output_neg`` with its inputs moved by ``perm⁻¹``.
+    """
+    negs_of: Dict[int, List[int]] = {}
+    for neg in range(1 << n):
+        negs_of.setdefault(bitops.negate_inputs(bits, n, neg), []).append(neg)
+    found: List[RawTransform] = []
+    for perm in itertools.permutations(range(n)):
+        inverse = bitops.invert_permutation(perm)
+        for output_neg in (False, True):
+            phase = bits ^ bitops.table_mask(n) if output_neg else bits
+            for neg in negs_of.get(bitops.permute_vars(phase, n, inverse), ()):
+                found.append((perm, neg, output_neg))
+    return found
 
 
 def transform_count(n: int, include_output_neg: bool = True) -> int:

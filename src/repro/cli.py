@@ -314,7 +314,6 @@ def cmd_map(args: argparse.Namespace) -> int:
     mapper = AigMapper(
         cut_size=args.cut_size,
         max_cuts_per_node=args.max_cuts,
-        mode=args.engine,
         engine_options=EngineOptions(kernel=args.kernel, workers=args.workers),
         store=store,
     )
@@ -337,7 +336,6 @@ def cmd_map(args: argparse.Namespace) -> int:
                     "and_nodes": aig.num_ands(),
                     "cells": len(result.nodes),
                     "area": result.area,
-                    "engine_mode": args.engine,
                     "elapsed_seconds": elapsed,
                     "cell_histogram": result.cell_histogram(),
                     "stats": stats,
@@ -348,7 +346,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         print(
             f"{netlist.name}: {aig.num_ands()} AND nodes -> "
             f"{len(result.nodes)} cells, area {result.area:.1f} "
-            f"({args.engine}, {elapsed:.2f} s)"
+            f"({elapsed:.2f} s)"
         )
         for cell, count in sorted(
             result.cell_histogram().items(), key=lambda kv: -kv[1]
@@ -898,12 +896,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cut-size", type=int, default=4)
     p.add_argument(
         "--max-cuts", type=int, default=16, help="pruned cuts kept per node"
-    )
-    p.add_argument(
-        "--engine",
-        choices=("batched", "percut"),
-        default="batched",
-        help="matching path: two-phase batched flow or per-cut baseline",
     )
     p.add_argument(
         "--kernel",

@@ -10,12 +10,16 @@ their signatures are computed beforehand" — and keeps the canonicalizing
    membership probe, no canonicalization), else ``canonical_form``;
 2. a hash lookup of the target's class among the cell classes;
 3. **witness replay** for the pin assignment: with ``t_f.apply(f) ==
-   canon`` and ``t_c.apply(cell) == canon``, the binding transform is
-   ``t_f⁻¹ ∘ t_c`` — pure transform composition, no matcher run at all.
+   canon`` and ``t_c.apply(cell) == canon``, every transform taking the
+   cell onto ``f`` is ``t_f⁻¹ ∘ a ∘ t_c`` for an automorphism ``a`` of
+   ``canon`` — pure transform composition, no matcher run at all.  The
+   bind takes the smallest cell, then the fewest inverters, then the
+   smallest transform, so the binding is a pure function of ``f`` and
+   the library, whichever witness ``t_f`` the caller found.
 
 The pre-store behaviour (full :func:`repro.core.matcher.match` against
 every candidate cell) survives as :meth:`CellLibrary.bind_linear`, the
-baseline that benchmarks and parity tests compare against.
+reference that parity tests compare against.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.boolfunc.transform import NpnTransform
+from repro.boolfunc.transform import NpnTransform, RawTransform, automorphisms, compose_raw
 from repro.boolfunc.truthtable import TruthTable
 from repro.core.canonical import canonical_form
 from repro.core.matcher import match
@@ -41,6 +45,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.store.store import ClassStore
 
 CELL_CLASS_KIND = "cell-class"
+
+# A candidate pin assignment: a cell and a raw transform taking it onto
+# its class's canonical representative.
+CosetEntry = Tuple[LibraryCell, RawTransform]
 
 
 @dataclass(frozen=True)
@@ -80,6 +88,7 @@ class CellLibrary:
         self._index: CellIndex = (
             _index if _index is not None else build_cell_index(self.cells)
         )
+        self._cosets: Dict[Tuple[int, int], List[CosetEntry]] = {}
 
     # -- persistent index -----------------------------------------------
 
@@ -205,45 +214,63 @@ class CellLibrary:
         """The indexed ``(cell, witness)`` entries of one npn class."""
         return self._index.get((n, canon_bits), ())
 
+    def _coset(self, n: int, canon_bits: int) -> List[CosetEntry]:
+        """Every transform taking a smallest-area cell of the class onto
+        the canonical representative: ``a ∘ t_cell`` for each of its
+        automorphisms ``a``.  Enumerated once per class and library."""
+        coset = self._cosets.get((n, canon_bits))
+        if coset is None:
+            entries = self._index.get((n, canon_bits), ())
+            area = min((cell.area for cell, _ in entries), default=None)
+            group = automorphisms(n, canon_bits) if entries else []
+            coset = [
+                (cell, compose_raw(a, (t.perm, t.input_neg, t.output_neg)))
+                for cell, t in entries
+                if cell.area == area
+                for a in group
+            ]
+            self._cosets[(n, canon_bits)] = coset
+        return coset
+
     def bind_with_key(
         self, f_n: int, canon_bits: int, t_f: NpnTransform
     ) -> Optional[Binding]:
         """Witness-replay bind of a target whose class key is already known.
 
-        The batched mapping path: phase two of the mapper resolves every
+        The mapping path: phase two of the mapper resolves every
         distinct cut function's canonical key through the classification
         engine, then binds each class here without re-deriving the key.
         ``t_f`` must canonicalize the target (``t_f.apply(f).bits ==
-        canon_bits``); the returned pin assignment is ``t_f⁻¹ ∘ t_cell``
-        for the cheapest cell of the class (smallest area, then fewest
-        implied inverters).  Returns ``None`` when the library has no
-        cell in the class.
+        canon_bits``).  Of every pin assignment ``t_f⁻¹ ∘ a ∘ t_cell``
+        the result is the minimum of ``(cell.area, inverter_count, perm,
+        input_neg, output_neg)``; the set does not depend on which
+        witness ``t_f`` is, so neither does the binding.  Returns
+        ``None`` when the library has no cell in the class.
         """
-        entries = self._index.get((f_n, canon_bits))
-        if not entries:
+        coset = self._coset(f_n, canon_bits)
+        if not coset:
             if _obs.enabled:
                 _obs.registry.counter("library.bind_misses").inc()
             return None
         inv_f = t_f.invert()
-        best: Optional[Binding] = None
-        for cell, t_cell in sorted(entries, key=lambda e: e[0].area):
-            binding = Binding(cell, inv_f.compose(t_cell))
-            if (
-                best is None
-                or (binding.cell.area, binding.inverter_count())
-                < (best.cell.area, best.inverter_count())
-            ):
-                best = binding
+        from_canon = (inv_f.perm, inv_f.input_neg, inv_f.output_neg)
+        best = None
+        for cell, to_canon in coset:
+            perm, neg, out = compose_raw(from_canon, to_canon)
+            key = (bin(neg).count("1") + out, perm, neg, out)
+            if best is None or key < best[0]:
+                best = (key, cell)
+        (_, perm, neg, out), cell = best
         if _obs.enabled:
             _obs.registry.counter("library.bind_hits").inc()
-        return best
+        return Binding(cell, NpnTransform(perm, neg, out))
 
     def bind(self, f: TruthTable) -> Optional[Binding]:
         """Bind ``f`` to the cheapest matching cell and recover pins.
 
-        Cheapest = smallest cell area, then fewest implied inverters.
-        The pin assignment is witness replay — ``t_f⁻¹ ∘ t_cell`` — so
-        no matcher invocation happens on the bind path at all.
+        Cheapest = smallest cell area, then fewest implied inverters
+        (see :meth:`bind_with_key`).  The pin assignment is witness
+        replay, so no matcher invocation happens on the bind path at all.
         """
         if not self._has_width(f.n):
             return None
@@ -253,8 +280,9 @@ class CellLibrary:
 
     def bind_linear(self, f: TruthTable) -> Optional[Binding]:
         """The pre-store baseline: canonicalize the target, then run the
-        full matcher against every candidate cell.  Kept for parity
-        tests and benchmarks — same selection rule as :meth:`bind`."""
+        full matcher against every candidate cell.  Kept as the test
+        reference: it picks a cell of the same area as :meth:`bind`,
+        with the matcher's pin assignment, so never fewer inverters."""
         per_class = self._index.get((f.n, canonical_form(f)[0].bits)) if self._has_width(f.n) else None
         best: Optional[Binding] = None
         for cell, _ in sorted(per_class or (), key=lambda e: e[0].area):

@@ -416,7 +416,7 @@ def render_profile(registry: MetricsRegistry, top: int = 20) -> str:
 
 
 def render_map_accounting(result: Any, top: int = 20) -> str:
-    """Per-npn-class accounting table of one batched mapping run.
+    """Per-npn-class accounting table of one mapping run.
 
     ``result`` is a :class:`repro.aig.MappingResult` (duck-typed here to
     keep :mod:`repro.obs` dependency-free): one row per cut-function
@@ -428,32 +428,27 @@ def render_map_accounting(result: Any, top: int = 20) -> str:
         result.class_accounts,
         key=lambda a: (-a.area, -a.cut_occurrences, a.n, a.key),
     )
-    lines: List[str] = []
-    if accounts:
+    lines: List[str] = [
+        f"{'class':<22} {'cell':<10} {'fns':>5} {'cuts':>6} {'inst':>5} {'area':>8}"
+    ]
+    for account in accounts[:top]:
+        label = f"n={account.n} 0x{account.key:x}"
+        if account.quarantined:
+            label += " [q]"
         lines.append(
-            f"{'class':<22} {'cell':<10} {'fns':>5} {'cuts':>6} "
-            f"{'inst':>5} {'area':>8}"
+            f"{label:<22} {account.cell or '-':<10} "
+            f"{account.distinct_functions:>5} {account.cut_occurrences:>6} "
+            f"{account.instances:>5} {account.area:>8.1f}"
         )
-        for account in accounts[:top]:
-            label = f"n={account.n} 0x{account.key:x}"
-            if account.quarantined:
-                label += " [q]"
-            lines.append(
-                f"{label:<22} {account.cell or '-':<10} "
-                f"{account.distinct_functions:>5} {account.cut_occurrences:>6} "
-                f"{account.instances:>5} {account.area:>8.1f}"
-            )
-        if len(accounts) > top:
-            rest = accounts[top:]
-            lines.append(
-                f"{'... ' + str(len(rest)) + ' more':<22} {'':<10} "
-                f"{sum(a.distinct_functions for a in rest):>5} "
-                f"{sum(a.cut_occurrences for a in rest):>6} "
-                f"{sum(a.instances for a in rest):>5} "
-                f"{sum(a.area for a in rest):>8.1f}"
-            )
-    else:
-        lines.append("(no class accounting: percut mode records none)")
+    if len(accounts) > top:
+        rest = accounts[top:]
+        lines.append(
+            f"{'... ' + str(len(rest)) + ' more':<22} {'':<10} "
+            f"{sum(a.distinct_functions for a in rest):>5} "
+            f"{sum(a.cut_occurrences for a in rest):>6} "
+            f"{sum(a.instances for a in rest):>5} "
+            f"{sum(a.area for a in rest):>8.1f}"
+        )
     lines.append(
         f"cuts {stats.cuts_evaluated} -> {stats.distinct_cut_functions} distinct "
         f"({stats.dedup_rate() * 100.0:.1f}% dedup) -> {stats.cut_classes} classes "

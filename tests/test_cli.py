@@ -106,12 +106,6 @@ def test_map_stats_explain_and_blif_out(tmp_path, capsys):
     assert out_path.read_text().startswith(".model")
 
 
-def test_map_percut_engine(capsys):
-    code, out = run_cli(capsys, "map", "bench:rd53", "--engine", "percut", "--verify")
-    assert code == 0
-    assert "percut" in out and "PASS" in out
-
-
 def test_map_blif_file_keeps_structure(tmp_path, capsys):
     # A BLIF input is mapped as the structural netlist it describes.
     blif = tmp_path / "fa.blif"

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.boolfunc import ops
-from repro.boolfunc.transform import NpnTransform
+from repro.boolfunc.transform import NpnTransform, all_transforms, automorphisms
 from repro.boolfunc.truthtable import TruthTable
 from repro.library import Binding, CellLibrary, LibraryCell, cells_by_name, default_cells
 
@@ -66,6 +66,43 @@ def test_inverter_count():
     assert b.inverter_count() == 3
 
 
+def test_bind_is_witness_independent_and_inverter_minimal(library, rng):
+    # Any witness of the target's class (the canonical one composed with
+    # an automorphism of the representative) must give the same binding,
+    # and that binding is the minimum over every cell-to-target
+    # transform of (area, inverters, perm, input_neg, output_neg).
+    from repro.core.canonical import canonical_form
+
+    for cell in default_cells():
+        if cell.n_inputs > 3:
+            continue  # brute force below walks the whole npn group
+        target = NpnTransform.random(cell.n_inputs, rng).apply(cell.function)
+        canon, t_f = canonical_form(target)
+        bindings = {
+            library.bind_with_key(
+                target.n, canon.bits, NpnTransform(*a).compose(t_f)
+            )
+            for a in automorphisms(canon.n, canon.bits)
+        }
+        assert len(bindings) == 1
+        (got,) = bindings
+        best = min(
+            (c.area, Binding(c, t).inverter_count(), t.perm, t.input_neg, t.output_neg, c.name)
+            for c in default_cells()
+            if c.n_inputs == target.n
+            for t in all_transforms(target.n)
+            if t.apply(c.function) == target
+        )
+        assert (
+            got.cell.area,
+            got.inverter_count(),
+            got.transform.perm,
+            got.transform.input_neg,
+            got.transform.output_neg,
+            got.cell.name,
+        ) == best
+
+
 def test_bind_all(library):
     funcs = [ops.xor_all(2), ops.and_all(3), TruthTable.parity(7)]
     bindings = library.bind_all(funcs)
@@ -119,6 +156,7 @@ def test_store_backed_bind_matches_linear_baseline(tmp_path, rng):
         if fast is None:
             continue
         assert fast.cell.area == slow.cell.area
+        assert fast.inverter_count() <= slow.inverter_count()
         assert fast.transform.apply(fast.cell.function) == target
         assert slow.transform.apply(slow.cell.function) == target
 

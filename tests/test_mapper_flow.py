@@ -1,8 +1,9 @@
 """End-to-end tests of the two-phase whole-netlist mapping flow.
 
 Covers the batched catalog → engine-classify → witness-replay path:
-map + verify round trips over benchmark circuits, kernel-mode cover
-identity, store warm-start, and the per-class accounting surface.
+map + verify round trips over benchmark circuits, cover identity
+across kernel, worker count and store warmth, store warm-start, and the
+per-class accounting surface.
 """
 
 import pytest
@@ -16,6 +17,7 @@ from repro.obs import render_map_accounting
 from repro.store import ClassStore
 
 SEEDED_SUBSET = ["rd53", "xor5", "maj", "con1", "z4ml", "rd73"]
+REGISTRY = [spec.name for spec in TABLE1_CIRCUITS + EXTRA_CIRCUITS]
 
 
 def _aig(name: str) -> Aig:
@@ -41,9 +43,7 @@ def test_seeded_subset_maps_and_verifies(name):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize(
-    "name", [spec.name for spec in TABLE1_CIRCUITS + EXTRA_CIRCUITS]
-)
+@pytest.mark.parametrize("name", REGISTRY)
 def test_full_registry_maps_and_verifies(name):
     aig = _aig(name)
     mapper = AigMapper()
@@ -53,23 +53,57 @@ def test_full_registry_maps_and_verifies(name):
 
 
 # ----------------------------------------------------------------------
-# Kernel modes must not change the cover
+# The cover is a pure function of (AIG, library)
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["rd73", "z4ml", "con1"])
-def test_scalar_and_batch_kernels_emit_identical_covers(name):
+COVER_IDENTITY_SUBSET = ["rd73", "z4ml", "con1"]
+
+
+def _cover(result):
+    """Area, per-node bindings and mapped BLIF of one mapping."""
+    assert result is not None
+    bindings = {
+        node: (mapped.cut.leaves, mapped.binding.cell.name, mapped.binding.transform)
+        for node, mapped in result.nodes.items()
+    }
+    return result.area, bindings, write_blif(result.to_netlist())
+
+
+@pytest.mark.parametrize(
+    "name",
+    COVER_IDENTITY_SUBSET
+    + [
+        pytest.param(name, marks=pytest.mark.slow)
+        for name in REGISTRY
+        if name not in COVER_IDENTITY_SUBSET
+    ],
+)
+def test_scalar_and_batch_kernels_emit_identical_covers(name, tmp_path):
+    # Kernel, worker count, store warmth and what the engine classified
+    # before must not change a single binding.  Comparing bindings, not
+    # only the BLIF, matters: the BLIF holds each node's local function,
+    # so two bindings of one function with different inverters emit the
+    # same netlist.
+    lal = _aig("lal")
+    seeded = ClassStore(str(tmp_path / "lal"), create=True)
+    AigMapper(store=seeded).map(lal)
+    seeded.flush()
+    after_lal = AigMapper()
+    after_lal.map(lal)
+    mappers = {
+        "scalar": AigMapper(engine_options=EngineOptions(kernel="scalar")),
+        "auto": AigMapper(engine_options=EngineOptions(kernel="auto")),
+        "workers=2": AigMapper(engine_options=EngineOptions(workers=2)),
+        "warm from lal": AigMapper(store=ClassStore(str(tmp_path / "lal"))),
+        "after lal": after_lal,
+    }
     aig = _aig(name)
-    covers = {}
-    for kernel in ("scalar", "auto"):
-        mapper = AigMapper(engine_options=EngineOptions(kernel=kernel))
-        result = mapper.map(aig)
-        assert result is not None
-        covers[kernel] = (
-            result.area,
-            write_blif(result.to_netlist()),
-        )
-    assert covers["scalar"][0] == covers["auto"][0]
-    assert covers["scalar"][1] == covers["auto"][1]  # byte-identical
+    covers = {arm: _cover(mapper.map(aig)) for arm, mapper in mappers.items()}
+    area, bindings, blif = covers["scalar"]
+    for arm, (arm_area, arm_bindings, arm_blif) in covers.items():
+        assert arm_area == area, arm
+        assert arm_bindings == bindings, arm
+        assert arm_blif == blif, arm  # byte-identical
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from repro.boolfunc.transform import (
     NpnTransform,
     all_transforms,
+    automorphisms,
     random_equivalent_pair,
     transform_count,
 )
@@ -80,6 +81,7 @@ def test_all_transforms_counts():
     assert transform_count(3, include_output_neg=False) == 6 * 8
     assert sum(1 for _ in all_transforms(2)) == 16
     assert sum(1 for _ in all_transforms(2, include_output_neg=False)) == 8
+    assert len(automorphisms(4, TruthTable.parity(4).bits)) == 384
 
 
 def test_all_transforms_distinct_actions_small():
@@ -88,6 +90,16 @@ def test_all_transforms_distinct_actions_small():
     g = TruthTable.var(2, 1) & f
     images = {(t.apply(f).bits, t.apply(g).bits) for t in all_transforms(2)}
     assert len(images) == 16
+
+
+@given(truth_tables(1, 4))
+def test_automorphisms_match_brute_force(f):
+    brute = [
+        (t.perm, t.input_neg, t.output_neg)
+        for t in all_transforms(f.n)
+        if t.apply(f) == f
+    ]
+    assert sorted(automorphisms(f.n, f.bits)) == sorted(brute)
 
 
 def test_random_equivalent_pair_contract(rng):
