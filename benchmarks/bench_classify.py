@@ -17,9 +17,6 @@ Scenarios:
   bucketing kernels on (``kernel="auto"``) vs off
   (``kernel="scalar"``); the groupings must match exactly (see also
   ``BENCH_kernels.json`` for the isolated kernel curves).
-* ``workers`` — the repeated-classes batch under 1, 2, and 4 worker
-  processes (wall-clock parallel benefit requires free cores; the
-  recorded ``cpu_count`` says what this box could show).
 * ``cache_rerun`` — the repeated-classes batch classified twice through
   one engine: the second pass must be nearly pure LRU cache hits.
 * ``npn_space_n4`` — all 65536 4-variable functions through the engine
@@ -150,8 +147,8 @@ def main(argv=None) -> int:
 
     # -- kernel on/off ----------------------------------------------------
     # The same repeated-classes batch through the engine with the batch
-    # kernels on vs off; everything else (cache, workers,
-    # matchers) identical, so the delta is the bucketing pipeline alone.
+    # kernels on vs off; everything else (cache, matchers) identical,
+    # so the delta is the bucketing pipeline alone.
     t_scalar_k, result_sk = min(
         (run_engine(batch, kernel="scalar") for _ in range(trials)),
         key=lambda r: r[0],
@@ -175,18 +172,6 @@ def main(argv=None) -> int:
         f"speedup {t_scalar_k / t_batch_k:.2f}x "
         f"({result_bk.stats.kernel_batched} functions batched)"
     )
-
-    # -- worker sweep -----------------------------------------------------
-    workers_times = {}
-    for workers in (1, 2, 4):
-        t_w, result_w = run_engine(batch, workers=workers)
-        assert same_grouping(base_keys, result_w), f"workers={workers} diverged"
-        workers_times[str(workers)] = t_w
-        print(f"workers={workers}: {t_w:.3f}s")
-    report["scenarios"]["workers"] = {
-        "seconds": workers_times,
-        "note": "parallel wall-clock gains require free cores; see cpu_count",
-    }
 
     # -- cache rerun ------------------------------------------------------
     engine = ClassificationEngine(EngineOptions())

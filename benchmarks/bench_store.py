@@ -38,7 +38,7 @@ from pathlib import Path
 from repro.boolfunc.transform import NpnTransform
 from repro.boolfunc.truthtable import TruthTable
 from repro.core.canonical import canonical_form
-from repro.engine import ClassificationEngine, EngineOptions, store_lookup
+from repro.engine import ClassificationEngine, store_lookup
 from repro.grm.transform import fprm_coefficients
 from repro.library import CellLibrary, default_cells
 from repro.obs import runtime as obs_runtime
@@ -69,10 +69,10 @@ def fresh_tables(batch):
     return [TruthTable(f.n, f.bits) for f in batch]
 
 
-def classify_with_store(batch, store, workers=0):
+def classify_with_store(batch, store):
     fprm_coefficients.cache_clear()
     tables = fresh_tables(batch)
-    engine = ClassificationEngine(EngineOptions(workers=workers), store=store)
+    engine = ClassificationEngine(store=store)
     t0 = time.perf_counter()
     result = engine.classify(tables)
     return time.perf_counter() - t0, result

@@ -184,9 +184,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     else:
         circuit = load_circuit(args.file)
     tables = [out.table for out in circuit.outputs]
-    options = EngineOptions(
-        workers=args.workers, cache_size=args.cache_size, kernel=args.kernel
-    )
+    options = EngineOptions(cache_size=args.cache_size, kernel=args.kernel)
     result = ClassificationEngine(options).classify(tables)
     if args.json:
         from repro.obs import stats_json
@@ -314,7 +312,7 @@ def cmd_map(args: argparse.Namespace) -> int:
     mapper = AigMapper(
         cut_size=args.cut_size,
         max_cuts_per_node=args.max_cuts,
-        engine_options=EngineOptions(kernel=args.kernel, workers=args.workers),
+        engine_options=EngineOptions(kernel=args.kernel),
         store=store,
     )
     start = time.perf_counter()
@@ -403,7 +401,7 @@ def _random_tables(count: int, n: int, seed: int) -> List[TruthTable]:
 
 
 def cmd_lib_build(args: argparse.Namespace) -> int:
-    from repro.engine import ClassificationEngine, EngineOptions
+    from repro.engine import ClassificationEngine
     from repro.library import CellLibrary
 
     store = _open_store(args, create=True)
@@ -421,7 +419,7 @@ def cmd_lib_build(args: argparse.Namespace) -> int:
     if args.random:
         funcs.extend(_random_tables(args.random, args.n, args.seed))
     if funcs:
-        engine = ClassificationEngine(EngineOptions(workers=args.workers), store=store)
+        engine = ClassificationEngine(store=store)
         result = engine.classify(funcs)
         s = result.stats
         print(
@@ -815,17 +813,11 @@ def build_parser() -> argparse.ArgumentParser:
         "file", nargs="?", default=None, help="circuit, or omit with --random"
     )
     p.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="classification worker processes (0 = in-process)",
-    )
-    p.add_argument(
         "--cache-size",
         type=int,
         default=1 << 16,
         dest="cache_size",
-        help="canonical-key LRU cache bound per process",
+        help="canonical-key LRU cache bound",
     )
     p.add_argument(
         "--report",
@@ -904,9 +896,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="classification pre-key kernel (identical covers in both modes)",
     )
     p.add_argument(
-        "--workers", type=int, default=0, help="engine worker processes"
-    )
-    p.add_argument(
         "--store",
         default=None,
         help="persistent class store directory for warm-start/write-back",
@@ -963,7 +952,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, default=4, help="variables for --random")
     q.add_argument("--seed", type=int, default=0, help="seed for --random")
     q.add_argument("--shards", type=int, default=64, help="shard count (new stores)")
-    q.add_argument("--workers", type=int, default=0, help="engine worker processes")
     q.add_argument(
         "--no-cells", action="store_true", help="skip indexing the cell library"
     )

@@ -164,8 +164,8 @@ def classify(
     ``budget_fallback=False`` to restore the raising behaviour.
 
     For batch workloads prefer :class:`repro.engine.ClassificationEngine`,
-    which adds pre-key bucketing, caching, and parallelism on top of the
-    same canonical keys.
+    which adds pre-key bucketing, caching, and membership probes on top
+    of the same canonical keys.
     """
     classes: Dict[int, List[TruthTable]] = {}
     canon_reps: List[Tuple[int, TruthTable]] = []

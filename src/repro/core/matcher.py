@@ -439,7 +439,7 @@ def match_with_stats(
         return MatchOutcome(None, stats)
 
     if options.use_tier_dispatch:
-        tier = _tier_differentiator(f, g, options.signature_families)
+        tier = tier_differentiator(f, g, options.signature_families)
         if tier is not None:
             # An npn-invariant tier differs, which disproves
             # npn-equivalence (and a fortiori np-equivalence) — no GRM
@@ -495,8 +495,10 @@ def match_with_stats(
     return outcome
 
 
-def _tier_differentiator(
-    f: TruthTable, g: TruthTable, families: Tuple[str, ...]
+def tier_differentiator(
+    f: TruthTable,
+    g: TruthTable,
+    families: Tuple[str, ...] = sigs_mod.DEFAULT_FAMILIES,
 ) -> Optional[str]:
     """The cheapest enabled npn-invariant tier that separates the pair.
 
@@ -504,7 +506,8 @@ def _tier_differentiator(
     lazily; returns ``None`` when every enabled tier ties (the pair then
     goes to the full GRM pipeline).  Tier keys are memoized per
     ``(n, bits)`` in :mod:`repro.core.sensitivity`, and the weights tier
-    reuses the engine's coarse pre-key.
+    reuses the engine's coarse pre-key.  The serving ``match`` op reports
+    the same tier as its ``differentiated_by``.
     """
     if "weights" in families:
         # Cheap scalar screens first: both counts are cached on the

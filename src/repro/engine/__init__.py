@@ -3,8 +3,8 @@
 Public surface:
 
 * :class:`ClassificationEngine` / :func:`classify_batch` — cached,
-  pre-key-bucketed, optionally multi-process classification producing
-  the same canonical keys as per-function
+  pre-key-bucketed, in-process classification producing the same
+  canonical keys as per-function
   :func:`repro.core.canonical.canonical_form`;
 * :class:`EngineOptions`, :class:`EngineStats`, :class:`EngineResult`,
   :class:`ClassKey` — configuration, counters, and result types;

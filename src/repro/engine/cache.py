@@ -8,9 +8,8 @@ and stores ``(canon_bits, transform)`` where ``transform`` is the plain
 * entries are immutable facts — ``canon_bits`` is *the* canonical key of
   ``(n, bits)``, so stale entries cannot exist and eviction only ever
   costs recomputation, never correctness;
-* the cache is per-process: parallel workers each hold their own, and
-  merged results stay deterministic because the values are
-  content-derived, not order-derived;
+* results never depend on what the cache holds, because the values
+  are content-derived, not order-derived;
 * concurrent access within a process is safe: a single lock guards the
   OrderedDict mutation and the ``hits``/``misses``/``evictions``
   counters together, so lookups from threads (the CLI's traced runs,

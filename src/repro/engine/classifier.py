@@ -22,18 +22,19 @@ work:
    candidate whose transformed table equals a known canonical key is a
    literal witness of membership and the probe stops.  A probe miss
    proves the function opens a new class (completeness), and a probe
-   that overflows ``membership_cap`` orderings falls back to the full
-   canonicalizer (soundness is never at stake).
+   that overflows :data:`MEMBERSHIP_CAP` orderings falls back to the
+   full canonicalizer (soundness is never at stake).  A bucket stops
+   probing after :data:`PROBE_MISS_LIMIT` consecutive misses.
 4. **Quarantine.**  A function whose canonicalization exceeds its budget
    no longer poisons the batch: after the bucket's canonical classes are
    all known it is matched pairwise against them, then against earlier
    quarantined representatives, and otherwise seeds a fallback class of
    its own (keys carry a ``quarantined`` flag so they can never collide
    with canonical keys).
-5. **Parallelism.**  Buckets are dealt round-robin (largest first) to
-   ``ProcessPoolExecutor`` workers.  Results merge deterministically
-   regardless of completion order because every class key is derived
-   from content (canonical bits), not from discovery order.
+5. **Deterministic merge.**  Buckets are classified largest first and
+   the results merge back to input positions in sorted key order; every
+   class key is derived from content (canonical bits), not from
+   discovery order.
 6. **Warm start.**  Given a :class:`~repro.store.ClassStore`, every
    bucket's ``known`` set is pre-seeded with the store's classes for
    that pre-key (and the LRU cache with their representatives), so a
@@ -46,7 +47,6 @@ work:
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from itertools import chain, islice, permutations, product
 from typing import (
@@ -75,15 +75,22 @@ from repro.core import sensitivity as sens_mod
 from repro.engine.cache import CanonicalKeyCache
 from repro.engine.prekey import coarse_prekey, fine_prekey, sensitivity_prekey
 from repro.obs import runtime as _obs
-from repro.obs.metrics import MetricsRegistry
 from repro.utils import bitops
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store imports prekey)
     from repro.store.store import ClassStore
 
-# One store-seeded class shipped to a bucket: (n, canon_bits, rep_bits,
-# witness tuple).  Plain tuples so worker payloads pickle cheaply.
+# One store-seeded class handed to a bucket: (n, canon_bits, rep_bits,
+# witness tuple).
 WarmEntry = Tuple[int, int, int, Tuple[Tuple[int, ...], int, bool]]
+
+MEMBERSHIP_CAP = 64
+"""Candidate orderings a membership probe may explore per polarity
+decision before the function falls back to full canonicalization."""
+
+PROBE_MISS_LIMIT = 8
+"""A bucket stops probing after this many consecutive misses (a hit
+resets the count)."""
 
 
 class ClassKey(NamedTuple):
@@ -103,21 +110,11 @@ class ClassKey(NamedTuple):
 class EngineOptions:
     """Tuning knobs of the batch engine."""
 
-    workers: int = 0
-    """Process count; 0 or 1 classifies in-process."""
-
     cache_size: int = 1 << 16
-    """Bound on the canonical-key LRU cache (per process)."""
+    """Bound on the canonical-key LRU cache."""
 
     max_orderings: int = 40320
     """Ordering budget handed to :func:`canonical_form`."""
-
-    membership_cap: int = 64
-    """Candidate orderings a membership probe may explore per polarity
-    decision before falling back to full canonicalization."""
-
-    use_prekey: bool = True
-    """Bucket by pre-key (off = one bucket per variable count)."""
 
     kernel: str = "auto"
     """Pre-key computation dispatch: ``"auto"`` runs same-width groups of
@@ -126,13 +123,6 @@ class EngineOptions:
     by width), ``"scalar"`` always uses the per-function path.  Both
     modes produce identical buckets and class partitions."""
 
-    use_membership: bool = True
-    """Enable the early-exit membership probe inside buckets."""
-
-    probe_miss_limit: int = 8
-    """Stop probing a bucket after this many consecutive misses (a hit
-    resets the count); 0 probes unconditionally."""
-
     match_options: MatchOptions = field(default_factory=MatchOptions)
 
 
@@ -140,11 +130,9 @@ class EngineOptions:
 class EngineStats:
     """Work counters and per-stage wall times of one engine run.
 
-    Since the observability refactor this dataclass is a *snapshot
-    view*: the engine accumulates every counter in a registry
-    (:class:`repro.obs.MetricsRegistry`, namespaced ``engine.*``) so
-    worker snapshots merge exactly, and renders an ``EngineStats`` from
-    the merged registry when the batch completes.
+    The engine counts straight into these fields.  With observability
+    on, each nonzero field is added to the global registry as
+    ``engine.<field>`` once the batch completes (:meth:`publish`).
     """
 
     functions: int = 0
@@ -175,53 +163,15 @@ class EngineStats:
     merge_seconds: float = 0.0
     total_seconds: float = 0.0
 
-    def merge(self, other: "EngineStats") -> None:
-        """Accumulate a worker's counters (times add as CPU-seconds)."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
     def as_dict(self) -> Dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-
-class _EngineMetrics:
-    """Registry-backed counter plumbing for one classify run or worker.
-
-    Every counter lives under the ``engine.`` namespace of a private
-    :class:`MetricsRegistry`; worker processes ship their registry's
-    :meth:`snapshot` back to the parent, which merges them exactly.
-    :meth:`to_stats` renders the registry as the public
-    :class:`EngineStats` snapshot view.
-    """
-
-    PREFIX = "engine."
-    __slots__ = ("registry", "_counters")
-
-    def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-        # inc() runs per classified function; cache the Counter objects
-        # so the hot path is a dict get + add, not a registry lookup.
-        self._counters: Dict[str, object] = {}
-
-    def inc(self, name: str, amount=1) -> None:
-        if not amount:
-            return
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = self._counters[name] = self.registry.counter(self.PREFIX + name)
-        counter.inc(amount)
-
-    def merge(self, snapshot: Dict) -> None:
-        self.registry.merge(snapshot)
-
-    def snapshot(self) -> Dict:
-        return self.registry.snapshot()
-
-    def to_stats(self) -> EngineStats:
-        stats = EngineStats()
-        for f in fields(EngineStats):
-            setattr(stats, f.name, self.registry.counter_value(self.PREFIX + f.name))
-        return stats
+    def publish(self) -> None:
+        """Add every nonzero field to the global registry as ``engine.<field>``."""
+        registry = _obs.registry
+        for name, value in self.as_dict().items():
+            if value:
+                registry.counter("engine." + name).inc(value)
 
 
 @dataclass
@@ -229,8 +179,7 @@ class EngineResult:
     """Outcome of one batch classification.
 
     ``members`` maps each class to the *input positions* of its member
-    functions (ascending, so results are independent of worker
-    scheduling); ``functions`` is the batch in input order.
+    functions (ascending); ``functions`` is the batch in input order.
     """
 
     functions: List[TruthTable]
@@ -285,7 +234,7 @@ def _membership_probe(
     f: TruthTable,
     known_bits: Dict[int, None],
     options: EngineOptions,
-    metrics: "_EngineMetrics",
+    stats: EngineStats,
 ) -> Optional[Tuple[int, NpnTransform]]:
     """Early-exit test of ``f`` against the bucket's known canonical keys.
 
@@ -307,34 +256,9 @@ def _membership_probe(
     refinements the canonicalizer applies, so the candidate sets almost
     always intersect in the canonical table).
     """
-    if f.n == 0:
-        return None
-    # The candidate loop is the engine's hottest; orderings are counted
-    # in a local box and flushed as one bulk increment on every exit
-    # path (hit, miss, or budget raise).
-    tally = _Tally()
-    try:
-        return _probe_candidates(f, known_bits, options, tally)
-    finally:
-        metrics.inc("orderings_explored", tally.count)
-
-
-class _Tally:
-    """A one-field mutable int box for bulk-flushed hot-loop counts."""
-
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-
-def _probe_candidates(
-    f: TruthTable,
-    known_bits: Dict[int, None],
-    options: EngineOptions,
-    tally: _Tally,
-) -> Optional[Tuple[int, NpnTransform]]:
     n = f.n
+    if n == 0:
+        return None
     mask = bitops.table_mask(n)
     half = (1 << n) >> 1
     neg_limit = options.match_options.hard_enumeration_limit
@@ -385,7 +309,7 @@ def _probe_candidates(
         # Orderings are the products of within-block permutations, in the
         # same nesting order the canonicalizer's recursive enumeration
         # uses, but generated by itertools at C speed and truncated at
-        # membership_cap — a truncated scan just lowers the hit chance,
+        # MEMBERSHIP_CAP — a truncated scan just lowers the hit chance,
         # never the correctness, since a miss falls back to the full
         # canonicalizer anyway.
         orders = islice(
@@ -393,7 +317,7 @@ def _probe_candidates(
                 tuple(chain.from_iterable(combo))
                 for combo in product(*[list(permutations(b)) for b in blocks])
             ),
-            options.membership_cap,
+            MEMBERSHIP_CAP,
         )
         # Negation commutes past permutation:
         #   permute(negate(f, neg), perm) == negate(permute(f, perm), neg')
@@ -410,7 +334,7 @@ def _probe_candidates(
             for i in bitops.iter_bits(forced_neg):
                 mapped |= 1 << perm[i]
             cand = bitops.negate_inputs(permuted, n, mapped) ^ out_mask
-            tally.count += 1
+            stats.orderings_explored += 1
             if cand in known_bits:
                 return cand, NpnTransform(tuple(perm), forced_neg, fo)
             neg = forced_neg
@@ -418,23 +342,23 @@ def _probe_candidates(
                 v = balanced[(k & -k).bit_length() - 1]
                 neg ^= 1 << v
                 cand = bitops.flip_axis(cand, n, perm[v])
-                tally.count += 1
+                stats.orderings_explored += 1
                 if cand in known_bits:
                     return cand, NpnTransform(tuple(perm), neg, fo)
     return None
 
 
 # ----------------------------------------------------------------------
-# Bucket classification (runs in workers too)
+# Bucket classification
 # ----------------------------------------------------------------------
 
 def _classify_bucket(
     items: Sequence[Tuple[int, int]],
     options: EngineOptions,
     cache: CanonicalKeyCache,
-    metrics: "_EngineMetrics",
-    warm: Sequence[WarmEntry] = (),
-    weights_of: Optional[Dict[Tuple[int, int], Tuple]] = None,
+    stats: EngineStats,
+    warm: Sequence[WarmEntry],
+    weights_of: Dict[Tuple[int, int], Tuple],
 ) -> Tuple[
     Dict[ClassKey, List[Tuple[int, int]]],
     Dict[Tuple[int, int], Tuple[int, Tuple[Tuple[int, ...], int, bool]]],
@@ -447,8 +371,8 @@ def _classify_bucket(
     keys seed ``known`` (so membership probes can hit them without any
     canonicalization) and their representatives seed the LRU cache (so
     an exact repeat of a stored representative is a dictionary hit).
-    ``weights_of`` optionally maps ``(n, bits)`` to the cofactor-weight
-    vector the batch pre-key kernel already computed, pre-seeding each
+    ``weights_of`` maps ``(n, bits)`` to the cofactor-weight vector the
+    batch pre-key kernel already computed (when it ran), pre-seeding each
     :class:`TruthTable` so the membership probe and polarity selection
     skip their per-variable popcounts.
 
@@ -473,43 +397,34 @@ def _classify_bucket(
 
     for n, bits in sorted(items):
         f = TruthTable(n, bits)
-        if weights_of is not None:
-            w = weights_of.get((n, bits))
-            if w is not None:
-                f.prime_weights(w)
+        w = weights_of.get((n, bits))
+        if w is not None:
+            f.prime_weights(w)
         cached = cache.get((n, bits))
         if cached is not None:
-            metrics.inc("cache_hits")
+            stats.cache_hits += 1
             if cached[0] in warm_keys:
-                metrics.inc("store_hits")
+                stats.store_hits += 1
             elif cached[0] not in known:
                 discovered.setdefault((n, cached[0]), (bits, cached[1]))
             known.setdefault(cached[0])
             assign(ClassKey(n, cached[0]), n, bits)
             continue
-        metrics.inc("cache_misses")
+        stats.cache_misses += 1
         # Probes are opportunistic, so a bucket that keeps missing (a
         # batch with no repeated classes) stops paying for them.
-        probing = (
-            options.use_membership
-            and known
-            and (
-                options.probe_miss_limit <= 0
-                or consecutive_misses < options.probe_miss_limit
-            )
-        )
-        if probing:
-            metrics.inc("membership_probes")
+        if known and consecutive_misses < PROBE_MISS_LIMIT:
+            stats.membership_probes += 1
             try:
-                hit = _membership_probe(f, known, options, metrics)
+                hit = _membership_probe(f, known, options, stats)
             except BudgetExceededError:
-                metrics.inc("membership_bailouts")
+                stats.membership_bailouts += 1
                 hit = None
             if hit is not None:
                 canon_bits, t = hit
-                metrics.inc("membership_hits")
+                stats.membership_hits += 1
                 if canon_bits in warm_keys:
-                    metrics.inc("store_hits")
+                    stats.store_hits += 1
                 consecutive_misses = 0
                 cache.put((n, bits), (canon_bits, (t.perm, t.input_neg, t.output_neg)))
                 assign(ClassKey(n, canon_bits), n, bits)
@@ -517,9 +432,9 @@ def _classify_bucket(
             consecutive_misses += 1
         try:
             canon, t = canonical_form(f, options.match_options, options.max_orderings)
-            metrics.inc("canonicalizations")
+            stats.canonicalizations += 1
         except BudgetExceededError:
-            metrics.inc("quarantined")
+            stats.quarantined += 1
             deferred.append(f)
             continue
         witness = (t.perm, t.input_neg, t.output_neg)
@@ -533,7 +448,7 @@ def _classify_bucket(
     # known, so pairwise matching cannot split a class.
     quarantine_reps: List[Tuple[int, TruthTable]] = []
     for f in deferred:
-        assign(_quarantine_key(f, known, quarantine_reps, options, metrics), f.n, f.bits)
+        assign(_quarantine_key(f, known, quarantine_reps, options, stats), f.n, f.bits)
     return out, discovered
 
 
@@ -542,17 +457,17 @@ def _quarantine_key(
     known: Dict[int, None],
     quarantine_reps: List[Tuple[int, TruthTable]],
     options: EngineOptions,
-    metrics: "_EngineMetrics",
+    stats: EngineStats,
 ) -> ClassKey:
     for canon_bits in known:
-        metrics.inc("pairwise_matches")
+        stats.pairwise_matches += 1
         try:
             if match(f, TruthTable(f.n, canon_bits), options.match_options) is not None:
                 return ClassKey(f.n, canon_bits)
         except MatchBudgetExceededError:
             continue
     for rep_bits, rep in quarantine_reps:
-        metrics.inc("pairwise_matches")
+        stats.pairwise_matches += 1
         try:
             if match(f, rep, options.match_options) is not None:
                 return ClassKey(f.n, rep_bits, quarantined=True)
@@ -562,44 +477,12 @@ def _quarantine_key(
     return ClassKey(f.n, f.bits, quarantined=True)
 
 
-def _classify_chunk(
-    payload: Tuple[EngineOptions, List[Tuple[List[Tuple[int, int]], Sequence[WarmEntry]]]],
-) -> Tuple[
-    List[Tuple[Tuple[int, int, bool], List[Tuple[int, int]]]],
-    Dict[str, float],
-    List[Tuple[Tuple[int, int], Tuple[int, Tuple[Tuple[int, ...], int, bool]]]],
-]:
-    """Worker entry point: classify a chunk of whole buckets.
-
-    Each chunk element is ``(bucket items, warm entries)``.  Returns
-    plain tuples plus the worker's metrics-registry snapshot, so results
-    pickle cheaply and the parent's merge is an exact counter addition,
-    plus the chunk's newly discovered classes for store write-back (the
-    parent owns the store; workers never touch disk).
-    """
-    options, bucket_items = payload
-    cache = CanonicalKeyCache(options.cache_size)
-    metrics = _EngineMetrics()
-    t0 = time.perf_counter()
-    classes: List[Tuple[Tuple[int, int, bool], List[Tuple[int, int]]]] = []
-    discovered: Dict[Tuple[int, int], Tuple[int, Tuple[Tuple[int, ...], int, bool]]] = {}
-    for items, warm in bucket_items:
-        bucket_classes, found = _classify_bucket(items, options, cache, metrics, warm)
-        for key, members in bucket_classes.items():
-            classes.append((tuple(key), members))
-        for dkey, dval in found.items():
-            discovered.setdefault(dkey, dval)
-    metrics.inc("classify_seconds", time.perf_counter() - t0)
-    metrics.inc("cache_evictions", cache.evictions)
-    return classes, metrics.snapshot(), sorted(discovered.items())
-
-
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
 
 class ClassificationEngine:
-    """Cached, bucketed, optionally parallel batch NPN classification.
+    """Cached, bucketed batch NPN classification.
 
     The engine (and its cache) may be reused across batches; class keys
     are stable because they are canonical table bits.
@@ -641,8 +524,7 @@ class ClassificationEngine:
     def _classify(self, functions: Iterable[TruthTable]) -> EngineResult:
         t_start = time.perf_counter()
         funcs = list(functions)
-        metrics = _EngineMetrics()
-        metrics.inc("functions", len(funcs))
+        stats = EngineStats(functions=len(funcs))
 
         # Stage 1+2: dedup and pre-key bucketing.
         t0 = time.perf_counter()
@@ -651,66 +533,41 @@ class ClassificationEngine:
             if not isinstance(f, TruthTable):
                 raise TypeError(f"expected TruthTable, got {type(f).__name__}")
             members_of.setdefault((f.n, f.bits), []).append(idx)
-        metrics.inc("distinct_functions", len(members_of))
-        metrics.inc("duplicates", len(funcs) - len(members_of))
-        buckets, weights_of = self._bucketize(members_of, metrics)
-        metrics.inc("prekey_seconds", time.perf_counter() - t0)
+        stats.distinct_functions = len(members_of)
+        stats.duplicates = len(funcs) - len(members_of)
+        buckets, weights_of = self._bucketize(members_of, stats)
+        stats.prekey_seconds += time.perf_counter() - t0
 
         # Warm start: pull the store's classes for every bucket pre-key.
         warm_by_key: Dict[Tuple, List[WarmEntry]] = {}
         if self.store is not None:
             t0 = time.perf_counter()
             for bkey in buckets:
-                prekey = bkey[:4] if len(bkey) >= 4 else None
-                records = self.store.warm_records(bkey[0], prekey)
+                records = self.store.warm_records(bkey[0], bkey[:4])
                 if records:
                     warm_by_key[bkey] = [
                         (r.n, r.canon_bits, r.rep_bits, r.witness) for r in records
                     ]
-                    metrics.inc("store_seeded", len(records))
-            metrics.inc("prekey_seconds", time.perf_counter() - t0)
+                    stats.store_seeded += len(records)
+            stats.prekey_seconds += time.perf_counter() - t0
 
-        # Stage 3: classify every bucket.
-        ordered = sorted(buckets.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-        bucket_lists = [
-            (items, warm_by_key.get(key, ())) for key, items in ordered
-        ]
+        # Stage 3: classify every bucket, largest first.
+        t0 = time.perf_counter()
+        evictions_before = self.cache.evictions
         raw: Dict[ClassKey, List[Tuple[int, int]]] = {}
         discovered: Dict[Tuple[int, int], Tuple[int, Tuple[Tuple[int, ...], int, bool]]] = {}
-        workers = self.options.workers
-        if workers and workers > 1 and len(bucket_lists) > 1:
-            chunks: List[List[Tuple[List[Tuple[int, int]], Sequence[WarmEntry]]]] = [
-                [] for _ in range(workers)
-            ]
-            for i, entry in enumerate(bucket_lists):
-                chunks[i % workers].append(entry)
-            chunks = [c for c in chunks if c]
-            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                results = list(
-                    pool.map(_classify_chunk, [(self.options, c) for c in chunks])
-                )
-            for classes, worker_snapshot, found in results:
-                metrics.merge(worker_snapshot)
-                for key_tuple, members in classes:
-                    raw.setdefault(ClassKey(*key_tuple), []).extend(members)
-                for dkey, dval in found:
-                    discovered.setdefault(dkey, dval)
-        else:
-            t0 = time.perf_counter()
-            evictions_before = self.cache.evictions
-            # Kernel-computed weight vectors ride along on the in-process
-            # path only; worker payloads stay lean (workers recompute the
-            # few vectors they need lazily).
-            for items, warm in bucket_lists:
-                bucket_classes, found = _classify_bucket(
-                    items, self.options, self.cache, metrics, warm, weights_of
-                )
-                for key, members in bucket_classes.items():
-                    raw.setdefault(key, []).extend(members)
-                for dkey, dval in found.items():
-                    discovered.setdefault(dkey, dval)
-            metrics.inc("cache_evictions", self.cache.evictions - evictions_before)
-            metrics.inc("classify_seconds", time.perf_counter() - t0)
+        ordered = sorted(buckets.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+        for key, items in ordered:
+            warm = warm_by_key.get(key, ())
+            bucket_classes, found = _classify_bucket(
+                items, self.options, self.cache, stats, warm, weights_of
+            )
+            for ckey, bucket_members in bucket_classes.items():
+                raw.setdefault(ckey, []).extend(bucket_members)
+            for dkey, dval in found.items():
+                discovered.setdefault(dkey, dval)
+        stats.cache_evictions = self.cache.evictions - evictions_before
+        stats.classify_seconds = time.perf_counter() - t0
 
         # Write newly discovered classes back to the store.
         if self.store is not None and discovered:
@@ -722,7 +579,7 @@ class ClassificationEngine:
                 if self.store.add_class(
                     d_n, d_canon, rep_bits, witness, meta={"source": "engine"}
                 ):
-                    metrics.inc("store_new_classes")
+                    stats.store_new_classes += 1
             if self.auto_flush:
                 self.store.flush()
 
@@ -734,11 +591,11 @@ class ClassificationEngine:
             for nb in raw[key]:
                 idxs.extend(members_of[nb])
             members[key] = sorted(idxs)
-        metrics.inc("merge_seconds", time.perf_counter() - t0)
-        metrics.inc("total_seconds", time.perf_counter() - t_start)
+        stats.merge_seconds = time.perf_counter() - t0
+        stats.total_seconds = time.perf_counter() - t_start
         if _obs.enabled:
-            _obs.registry.merge(metrics.snapshot())
-        return EngineResult(functions=funcs, members=members, stats=metrics.to_stats())
+            stats.publish()
+        return EngineResult(functions=funcs, members=members, stats=stats)
 
     def resolve_witness(self, f: TruthTable, canon_bits: int) -> NpnTransform:
         """A transform ``t`` with ``t.apply(f).bits == canon_bits``.
@@ -775,7 +632,7 @@ class ClassificationEngine:
         return t
 
     def _bucketize(
-        self, members_of: Dict[Tuple[int, int], List[int]], metrics: _EngineMetrics
+        self, members_of: Dict[Tuple[int, int], List[int]], stats: EngineStats
     ) -> Tuple[Dict[Tuple, List[Tuple[int, int]]], Dict[Tuple[int, int], Tuple]]:
         """Group distinct functions by pre-key, escalating through the
         tiers of :mod:`repro.engine.prekey` — coarse, then influence,
@@ -793,36 +650,30 @@ class ClassificationEngine:
         """
         buckets: Dict[Tuple, List[Tuple[int, int]]] = {}
         weights_of: Dict[Tuple[int, int], Tuple] = {}
-        if not self.options.use_prekey:
-            for n, bits in members_of:
-                buckets.setdefault((n,), []).append((n, bits))
-        else:
-            coarse: Dict[Tuple, List[Tuple[int, int]]] = {}
-            by_n: Dict[int, List[int]] = {}
-            for n, bits in members_of:
-                by_n.setdefault(n, []).append(bits)
-            for n, group in sorted(by_n.items()):
-                if kernels.should_batch(n, len(group), self.options.kernel):
-                    keys, weights = kernels.coarse_prekeys(group, n)
-                    metrics.inc("kernel_batched", len(group))
-                    for bits, ckey, w in zip(group, keys, weights):
-                        coarse.setdefault(ckey, []).append((n, bits))
-                        weights_of[(n, bits)] = w
-                else:
-                    metrics.inc("kernel_scalar", len(group))
-                    for bits in group:
-                        coarse.setdefault(
-                            coarse_prekey(TruthTable(n, bits)), []
-                        ).append((n, bits))
-            for ckey, items in coarse.items():
-                if len(items) == 1:
-                    buckets[ckey] = items
-                    continue
-                self._escalate_bucket(ckey, items, buckets, weights_of, metrics)
-        metrics.inc("buckets", len(buckets))
-        metrics.inc(
-            "singleton_buckets", sum(1 for v in buckets.values() if len(v) == 1)
-        )
+        coarse: Dict[Tuple, List[Tuple[int, int]]] = {}
+        by_n: Dict[int, List[int]] = {}
+        for n, bits in members_of:
+            by_n.setdefault(n, []).append(bits)
+        for n, group in sorted(by_n.items()):
+            if kernels.should_batch(n, len(group), self.options.kernel):
+                keys, weights = kernels.coarse_prekeys(group, n)
+                stats.kernel_batched += len(group)
+                for bits, ckey, w in zip(group, keys, weights):
+                    coarse.setdefault(ckey, []).append((n, bits))
+                    weights_of[(n, bits)] = w
+            else:
+                stats.kernel_scalar += len(group)
+                for bits in group:
+                    coarse.setdefault(
+                        coarse_prekey(TruthTable(n, bits)), []
+                    ).append((n, bits))
+        for ckey, items in coarse.items():
+            if len(items) == 1:
+                buckets[ckey] = items
+                continue
+            self._escalate_bucket(ckey, items, buckets, weights_of, stats)
+        stats.buckets = len(buckets)
+        stats.singleton_buckets = sum(1 for v in buckets.values() if len(v) == 1)
         return buckets, weights_of
 
     def _escalate_bucket(
@@ -831,7 +682,7 @@ class ClassificationEngine:
         items: List[Tuple[int, int]],
         buckets: Dict[Tuple, List[Tuple[int, int]]],
         weights_of: Dict[Tuple[int, int], Tuple],
-        metrics: _EngineMetrics,
+        stats: EngineStats,
     ) -> None:
         """Split one collided coarse bucket through the remaining tiers.
 
@@ -842,7 +693,7 @@ class ClassificationEngine:
         ``[:4]`` coarse prefix the store routes on is preserved at every
         depth.
         """
-        metrics.inc("influence_keyed_buckets")
+        stats.influence_keyed_buckets += 1
         n = items[0][0]
         if kernels.should_batch(n, len(items), self.options.kernel):
             infls = kernels.influence_vectors([bits for _, bits in items], n)
@@ -861,7 +712,7 @@ class ClassificationEngine:
             if len(igroup) == 1:
                 buckets[ikey] = igroup
                 continue
-            metrics.inc("sensitivity_keyed_buckets")
+            stats.sensitivity_keyed_buckets += 1
             by_skey: Dict[Tuple, List[Tuple[int, int]]] = {}
             for fn, bits in igroup:
                 skey = sensitivity_prekey(TruthTable(fn, bits), ikey)
@@ -870,7 +721,7 @@ class ClassificationEngine:
                 if len(sgroup) == 1:
                     buckets[skey] = sgroup
                     continue
-                metrics.inc("fine_keyed_buckets")
+                stats.fine_keyed_buckets += 1
                 for fn, bits in sgroup:
                     fkey = fine_prekey(TruthTable(fn, bits), skey)
                     buckets.setdefault(fkey, []).append((fn, bits))
@@ -881,7 +732,7 @@ def classify_batch(
     options: Optional[EngineOptions] = None,
     **overrides,
 ) -> EngineResult:
-    """One-shot convenience: ``classify_batch(funcs, workers=4)``."""
+    """One-shot convenience: ``classify_batch(funcs, kernel="scalar")``."""
     if options is None:
         options = EngineOptions(**overrides)
     elif overrides:
@@ -899,16 +750,15 @@ def probe_known(
     Returns ``(canon_bits, witness)`` with ``witness.apply(f).bits ==
     canon_bits`` on a hit, ``None`` on a miss or probe-budget bailout.
     A miss never proves non-membership on its own — the candidate scan
-    is truncated at ``membership_cap`` — so callers fall back to
+    is truncated at :data:`MEMBERSHIP_CAP` — so callers fall back to
     :func:`repro.core.canonical.canonical_form`.
     """
     opts = options or EngineOptions()
     known = dict.fromkeys(known_bits)
     if not known:
         return None
-    metrics = _EngineMetrics()
     try:
-        return _membership_probe(f, known, opts, metrics)
+        return _membership_probe(f, known, opts, EngineStats())
     except BudgetExceededError:
         return None
 

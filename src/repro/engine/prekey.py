@@ -5,7 +5,7 @@ functions always share a pre-key, inequivalent functions usually do not.
 The batch engine buckets functions by pre-key before any canonical form
 is computed, which (a) proves inequivalence across buckets for free,
 (b) keeps every npn class wholly inside one bucket — the property that
-makes the parallel merge a disjoint union — and (c) restricts the
+makes the cross-bucket merge a disjoint union — and (c) restricts the
 membership fast-path's candidate set to the handful of classes already
 discovered in the same bucket.
 

@@ -13,17 +13,14 @@ Three instrument kinds, all dependency-free and thread-safe:
 Instruments are owned by a :class:`MetricsRegistry` and addressed by
 ``(name, labels)``; asking for the same pair twice returns the same
 child, so call sites never coordinate.  A registry can be rendered to a
-JSON-able :meth:`~MetricsRegistry.snapshot` and a snapshot can be
-:meth:`~MetricsRegistry.merge`-d into another registry — the mechanism
-by which parallel engine workers ship their counters back to the
-parent process (counters and histogram buckets add; gauges keep the
-maximum, i.e. peak semantics across workers).
+JSON-able :meth:`~MetricsRegistry.snapshot` (the ``--metrics`` file and
+the serving ``/metrics`` source).
 
 Exactness: every mutation happens under the instrument's lock, so
-concurrent threads (the ``--workers`` LRU-counter fix rides on this)
-never lose increments.  The lock is a plain ``threading.Lock`` — cheap
-enough for per-call counters; genuinely hot per-node loops should
-accumulate locally and flush one bulk ``inc``.
+concurrent threads (the serving loop and its engine thread) never lose
+increments.  The lock is a plain ``threading.Lock`` — cheap enough for
+per-call counters; genuinely hot per-node loops should accumulate
+locally and flush one bulk ``inc``.
 """
 
 from __future__ import annotations
@@ -193,7 +190,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """A family of named, labeled instruments with snapshot/merge support."""
+    """A family of named, labeled instruments with snapshot support."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -261,7 +258,7 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._counters) + len(self._gauges) + len(self._histograms)
 
-    # -- snapshot / merge -----------------------------------------------
+    # -- snapshot -------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-able, point-in-time image of every instrument."""
@@ -293,35 +290,6 @@ class MetricsRegistry:
                 )
             ],
         }
-
-    def merge(self, snapshot: Mapping[str, Any]) -> None:
-        """Fold a :meth:`snapshot` into this registry.
-
-        Counters and histogram buckets add; gauges keep the maximum of
-        the two values (peak semantics — the right default for "merge
-        worker state back into the parent").  Histogram edge sets must
-        agree.
-        """
-        for entry in snapshot.get("counters", ()):
-            self.counter(entry["name"], **entry.get("labels", {})).inc(entry["value"])
-        for entry in snapshot.get("gauges", ()):
-            gauge = self.gauge(entry["name"], **entry.get("labels", {}))
-            with gauge._lock:
-                gauge._value = max(gauge._value, entry["value"])
-        for entry in snapshot.get("histograms", ()):
-            hist = self.histogram(
-                entry["name"], edges=entry["edges"], **entry.get("labels", {})
-            )
-            counts = entry["counts"]
-            if len(counts) != len(hist.counts):
-                raise ValueError(
-                    f"histogram {entry['name']!r}: bucket count mismatch in merge"
-                )
-            with hist._lock:
-                for i, c in enumerate(counts):
-                    hist.counts[i] += c
-                hist.sum += entry["sum"]
-                hist.count += entry["count"]
 
     def clear(self) -> None:
         with self._lock:

@@ -18,10 +18,9 @@ objects, no formatting, no locks.  The CLI's ``--trace/--metrics/
 get an isolated registry + in-memory tracer and restore the previous
 state afterwards.
 
-The registry is process-local by design: parallel engine workers build
-their own and ship :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`
-dicts back to the parent, which merges them (see
-:mod:`repro.engine.classifier`).
+The registry is process-local.  The batch engine counts each batch in
+its own :class:`~repro.engine.classifier.EngineStats` and adds the
+nonzero fields here as ``engine.*`` counters when the batch completes.
 """
 
 from __future__ import annotations

@@ -55,16 +55,11 @@ import asyncio
 import signal
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
 
-from repro.boolfunc.truthtable import TruthTable
+from repro.core.matcher import tier_differentiator
 from repro.engine.classifier import ClassificationEngine
-from repro.engine.prekey import (
-    coarse_prekey,
-    influence_prekey,
-    sensitivity_prekey,
-)
 from repro.obs import runtime as _obs
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
@@ -152,27 +147,6 @@ class ServeConfig:
     flight_min_interval: float = 5.0
     """Seconds between automatic flight dumps (storm suppression)."""
 
-    def effective(self) -> "ServeConfig":
-        if self.batching:
-            return self
-        return ServeConfig(
-            host=self.host,
-            port=self.port,
-            max_batch=1,
-            max_wait=0.0,
-            max_pending=self.max_pending,
-            max_line_bytes=self.max_line_bytes,
-            flush_interval=self.flush_interval,
-            compact_every=self.compact_every,
-            batching=False,
-            window_seconds=self.window_seconds,
-            window_buckets=self.window_buckets,
-            flight_dir=self.flight_dir,
-            slow_request_ms=self.slow_request_ms,
-            flight_capacity=self.flight_capacity,
-            flight_min_interval=self.flight_min_interval,
-        )
-
 
 class MatchServer:
     """One serving process: listener, batcher, background write-back."""
@@ -184,7 +158,10 @@ class MatchServer:
         config: Optional[ServeConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        self.config = (config or ServeConfig()).effective()
+        config = config or ServeConfig()
+        if not config.batching:
+            config = replace(config, max_batch=1, max_wait=0.0)
+        self.config = config
         if engine is None:
             engine = ClassificationEngine(store=store, auto_flush=False)
         elif store is not None and engine.store is None:
@@ -640,9 +617,15 @@ class MatchServer:
             }
         key_a, key_b = await self.batcher.submit([a, b], span)
         equivalent = key_a == key_b
-        tier = await asyncio.get_running_loop().run_in_executor(
-            self.batcher.executor, _match_tier, a, b, equivalent
-        )
+        if equivalent:
+            tier = "equivalent"
+        else:
+            # Prekey tiers are O(n·2^n) bit counting: keep them on the
+            # engine thread.  No tier separating the pair means only the
+            # GRM canonical form told the classes apart.
+            tier = await asyncio.get_running_loop().run_in_executor(
+                self.batcher.executor, tier_differentiator, a, b
+            ) or "grm"
         self._note_match_tier(tier, span)
         result: Dict[str, Any] = {
             "equivalent": equivalent,
@@ -795,30 +778,6 @@ class MatchServer:
             ]
         )
         return snap
-
-
-def _match_tier(a: TruthTable, b: TruthTable, equivalent: bool) -> str:
-    """Name the signature tier that separated (or failed to separate) a pair.
-
-    Mirrors the engine's prekey ladder: the cheapest signature family
-    whose keys differ is what actually differentiated the two functions;
-    when every family agrees but the classes still differ, only the GRM
-    canonical form told them apart.  Equivalent pairs report
-    ``"equivalent"`` — no tier separated them.  Runs on the engine
-    executor thread (prekeys are O(n·2^n) bit counting).
-    """
-    if equivalent:
-        return "equivalent"
-    coarse_a, coarse_b = coarse_prekey(a), coarse_prekey(b)
-    if coarse_a != coarse_b:
-        return "weights"
-    infl_a = influence_prekey(a, coarse_a)
-    infl_b = influence_prekey(b, coarse_b)
-    if infl_a != infl_b:
-        return "influence"
-    if sensitivity_prekey(a, infl_a) != sensitivity_prekey(b, infl_b):
-        return "sensitivity"
-    return "grm"
 
 
 # ----------------------------------------------------------------------

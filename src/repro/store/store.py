@@ -265,24 +265,17 @@ class ClassStore:
         loaded = self._shard(self.shard_of_prekey(prekey))
         return loaded.by_key.get((n, canon_bits))
 
-    def warm_records(self, n: int, prekey: Optional[Tuple] = None) -> List[StoreRecord]:
+    def warm_records(self, n: int, prekey: Tuple) -> List[StoreRecord]:
         """Stored classes a warm-started classifier should seed with.
 
-        With a coarse pre-key this reads exactly one shard and returns
-        that pre-key group's records; without one it sweeps every shard
-        for classes of ``n`` variables.  Sorted by canonical bits so
-        seeding order is deterministic.
+        Reads exactly one shard and returns the records of the coarse
+        ``prekey`` group, sorted by canonical bits so seeding order is
+        deterministic.
         """
-        if prekey is not None:
-            prekey_str = encode_prekey(prekey)
-            loaded = self._shard(self.shard_of_prekey(prekey_str))
-            group = loaded.by_group.get((n, prekey_str), {})
-            return [group[bits] for bits in sorted(group)]
-        out: List[StoreRecord] = []
-        for shard_id in self._present_shard_ids():
-            loaded = self._shard(shard_id)
-            out.extend(r for r in loaded.by_key.values() if r.n == n)
-        return sorted(out, key=lambda r: r.canon_bits)
+        prekey_str = encode_prekey(prekey)
+        loaded = self._shard(self.shard_of_prekey(prekey_str))
+        group = loaded.by_group.get((n, prekey_str), {})
+        return [group[bits] for bits in sorted(group)]
 
     def records(self) -> Iterator[StoreRecord]:
         """Latest record of every stored class (superseded lines hidden)."""

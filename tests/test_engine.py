@@ -10,6 +10,7 @@ from repro.boolfunc.truthtable import TruthTable
 from repro.core import symmetry as sym_mod
 from repro.core.canonical import canonical_form, classify, npn_class_count
 from repro.core.errors import BudgetExceededError, CanonicalizationBudgetError
+from repro.cli import main
 from repro.engine import (
     CanonicalKeyCache,
     ClassificationEngine,
@@ -21,6 +22,7 @@ from repro.engine import (
     npn_class_count_engine,
     symmetry_counts,
 )
+from repro.engine import classifier
 from tests.conftest import truth_tables
 
 # A 4-variable function whose candidate orderings overflow a budget of 1
@@ -110,26 +112,6 @@ def test_engine_matches_baseline_on_corpus_witnesses():
     tables = [w.f for w in witnesses] + [w.g for w in witnesses]
     result = classify_batch(tables)
     assert engine_groups(result) == baseline_groups(tables)
-
-
-def test_engine_without_prekey_or_membership_agrees(rng):
-    batch = [TruthTable.random(3, rng) for _ in range(60)]
-    expected = baseline_groups(batch)
-    for opts in (
-        EngineOptions(use_prekey=False),
-        EngineOptions(use_membership=False),
-        EngineOptions(use_prekey=False, use_membership=False),
-    ):
-        assert engine_groups(classify_batch(batch, options=opts)) == expected
-
-
-def test_parallel_equals_sequential(rng):
-    batch = [TruthTable.random(4, rng) for _ in range(48)]
-    batch += [NpnTransform.random(4, rng).apply(f) for f in batch[:24]]
-    sequential = classify_batch(batch)
-    parallel = classify_batch(batch, workers=2)
-    assert parallel.members == sequential.members
-    assert parallel.stats.functions == len(batch)
 
 
 def test_mixed_widths_and_duplicates(rng):
@@ -242,9 +224,7 @@ def test_engine_quarantines_budget_overflow():
     twin = t.apply(BUDGET_BUSTER)
     easy = [TruthTable.parity(4), TruthTable(4, 1)]
     batch = easy + [BUDGET_BUSTER, twin]
-    result = classify_batch(
-        batch, max_orderings=1, use_membership=False, use_prekey=True
-    )
+    result = classify_batch(batch, max_orderings=1)
     assert sum(len(v) for v in result.members.values()) == len(batch)
     assert result.stats.quarantined == 2
     assert result.stats.pairwise_matches >= 1
@@ -282,17 +262,33 @@ def test_probe_witnesses_verify(rng):
     assert engine_groups(result) == baseline_groups(batch)
 
 
-def test_probe_miss_limit_disables_probing(rng):
+def test_probe_miss_limit_disables_probing(rng, monkeypatch):
     batch = [TruthTable.random(5, rng) for _ in range(80)]
-    eager = classify_batch(batch, probe_miss_limit=0)
-    lazy = classify_batch(batch, probe_miss_limit=1)
+    monkeypatch.setattr(classifier, "PROBE_MISS_LIMIT", len(batch))
+    eager = classify_batch(batch)
+    monkeypatch.setattr(classifier, "PROBE_MISS_LIMIT", 1)
+    lazy = classify_batch(batch)
     assert lazy.members == eager.members
     assert lazy.stats.membership_probes <= eager.stats.membership_probes
 
 
 def test_options_reject_mixing():
     with pytest.raises(TypeError):
-        classify_batch([], options=EngineOptions(), workers=2)
+        classify_batch([], options=EngineOptions(), cache_size=8)
+
+
+def test_retired_workers_option_is_rejected(tmp_path, capsys):
+    with pytest.raises(TypeError):
+        EngineOptions(workers=2)
+    for argv in (
+        ["classify", "bench:9sym"],
+        ["map", "bench:rd73"],
+        ["lib", "build", str(tmp_path / "store"), "--no-cells"],
+    ):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["--workers", "2"])
+        assert exc_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 def test_type_error_on_non_table():

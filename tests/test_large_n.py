@@ -35,14 +35,12 @@ def _stress_batch(rng):
 def test_engine_classifies_random_n14_through_slab_kernels():
     rng = random.Random(1400)
     base, batch = _stress_batch(rng)
-    result = classify_batch(
-        batch, options=EngineOptions(kernel="auto", workers=0)
-    )
+    result = classify_batch(batch, options=EngineOptions(kernel="auto"))
     assert result.num_classes == len(base)
     assert result.stats.kernel_batched == len(batch)
     scalar = classify_batch(
         [TruthTable(t.n, t.bits) for t in batch],
-        options=EngineOptions(kernel="scalar", workers=0),
+        options=EngineOptions(kernel="scalar"),
     )
     assert result.members == scalar.members
 
@@ -53,14 +51,14 @@ def test_engine_n14_with_store_roundtrip(tmp_path):
     store_dir = tmp_path / "classes"
     store = ClassStore(store_dir)
     first = ClassificationEngine(
-        EngineOptions(kernel="auto", workers=0), store=store
+        EngineOptions(kernel="auto"), store=store
     ).classify(batch)
     assert first.num_classes == len(base)
     # A fresh store over the same directory must warm-start every class
     # from the persisted shards (serialization is width-agnostic hex).
     rehydrated = ClassStore(store_dir)
     again = ClassificationEngine(
-        EngineOptions(kernel="auto", workers=0), store=rehydrated
+        EngineOptions(kernel="auto"), store=rehydrated
     ).classify([TruthTable(t.n, t.bits) for t in batch])
     assert again.num_classes == first.num_classes
     assert set(again.members) == set(first.members)

@@ -79,8 +79,8 @@ def _cover(result):
     ],
 )
 def test_scalar_and_batch_kernels_emit_identical_covers(name, tmp_path):
-    # Kernel, worker count, store warmth and what the engine classified
-    # before must not change a single binding.  Comparing bindings, not
+    # Kernel, store warmth and what the engine classified before must
+    # not change a single binding.  Comparing bindings, not
     # only the BLIF, matters: the BLIF holds each node's local function,
     # so two bindings of one function with different inverters emit the
     # same netlist.
@@ -93,7 +93,6 @@ def test_scalar_and_batch_kernels_emit_identical_covers(name, tmp_path):
     mappers = {
         "scalar": AigMapper(engine_options=EngineOptions(kernel="scalar")),
         "auto": AigMapper(engine_options=EngineOptions(kernel="auto")),
-        "workers=2": AigMapper(engine_options=EngineOptions(workers=2)),
         "warm from lal": AigMapper(store=ClassStore(str(tmp_path / "lal"))),
         "after lal": after_lal,
     }

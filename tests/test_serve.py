@@ -12,11 +12,13 @@ import json
 import random
 import socket
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.boolfunc.transform import NpnTransform
 from repro.boolfunc.truthtable import TruthTable
+from repro.core.matcher import match_with_stats
 from repro.engine import ClassificationEngine
 from repro.serve import (
     ERR_BAD_REQUEST,
@@ -35,6 +37,7 @@ from repro.serve.protocol import (
     parse_table,
 )
 from repro.store.store import ClassStore
+from repro.testing import corpus
 
 
 def serve(config: ServeConfig, **kwargs) -> ServerThread:
@@ -122,6 +125,12 @@ class TestRoundTrip:
             other = TruthTable(4, f.bits ^ 0b0110)
             if ClassificationEngine().classify([f, other]).num_classes == 2:
                 assert not client.match(f, other)["equivalent"]
+            # the reply names the tier the matcher's dispatcher settles on
+            twins = Path(__file__).parent / "corpus" / "weight_twins.json"
+            for pair in corpus.load_weight_twins(twins):
+                reply = client.match(pair.f, pair.g)
+                tier = match_with_stats(pair.f, pair.g).stats.differentiated_by
+                assert reply["differentiated_by"] == tier == pair.tier
 
     def test_match_rejects_width_mismatch(self, rng):
         with serve(ServeConfig()) as st, MatchClient(port=st.port) as client:

@@ -19,7 +19,6 @@ from repro.boolfunc.truthtable import TruthTable
 from repro.core.canonical import canonical_form
 from repro.engine import (
     ClassificationEngine,
-    EngineOptions,
     classify_batch,
     coarse_prekey,
     probe_known,
@@ -150,20 +149,6 @@ class TestRoundTrip:
         assert warm.stats.canonicalizations == 0
         assert warm.stats.store_hits == warm.stats.distinct_functions
 
-    def test_parallel_workers_with_warm_store(self, tmp_path):
-        import random
-
-        rng = random.Random(6)
-        batch = [TruthTable.random(3, rng) for _ in range(60)]
-        with ClassStore(tmp_path / "s") as store:
-            cold = ClassificationEngine(store=store).classify(batch)
-        warm_store = ClassStore(tmp_path / "s", create=False)
-        warm = ClassificationEngine(
-            EngineOptions(workers=2), store=warm_store
-        ).classify([TruthTable(f.n, f.bits) for f in batch])
-        assert warm.members == cold.members
-        assert warm.stats.store_hits > 0
-
     def test_add_is_idempotent_and_supersede_wins(self, tmp_path):
         store = ClassStore(tmp_path / "s", num_shards=4)
         f = TruthTable(2, 0b1000)
@@ -252,7 +237,7 @@ class TestCorruption:
             seg.write_bytes(seg.read_bytes()[:-4])
         store = ClassStore(path, create=False)
         with pytest.raises(StoreCorruptionError):
-            store.warm_records(3, None)
+            list(store.records())
 
     def test_unparseable_index_raises(self, tmp_path):
         path = populated_store(tmp_path)

@@ -102,7 +102,7 @@ def test_engine_partitions_identical_across_layouts_large_n():
     results = {
         mode: classify_batch(
             [TruthTable(f.n, f.bits) for f in batch],
-            options=EngineOptions(kernel=mode, workers=0),
+            options=EngineOptions(kernel=mode),
         )
         for mode in ("scalar", "auto")
     }
