@@ -14,8 +14,9 @@ Scenarios:
   function opens a new class, so there is nothing for dedup, caching,
   or membership probes to exploit and the honest expectation is ~1x.
 * ``kernel_on_off`` — the repeated-classes batch with the bit-parallel
-  bucketing kernels on (``kernel="auto"``) vs off
-  (``kernel="scalar"``); the groupings must match exactly (see also
+  bucketing kernels on (the default engine) vs off (every group forced
+  through the scalar loop by raising ``kernels.KERNEL_MIN_BATCH`` out
+  of reach); the groupings must match exactly (see also
   ``BENCH_kernels.json`` for the isolated kernel curves).
 * ``cache_rerun`` — the repeated-classes batch classified twice through
   one engine: the second pass must be nearly pure LRU cache hits.
@@ -36,7 +37,9 @@ import random
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
+from repro import kernels
 from repro.boolfunc.truthtable import TruthTable
 from repro.core.canonical import canonical_form
 from repro.engine import ClassificationEngine, EngineOptions, classify_batch
@@ -149,16 +152,17 @@ def main(argv=None) -> int:
     # The same repeated-classes batch through the engine with the batch
     # kernels on vs off; everything else (cache, matchers) identical,
     # so the delta is the bucketing pipeline alone.
-    t_scalar_k, result_sk = min(
-        (run_engine(batch, kernel="scalar") for _ in range(trials)),
-        key=lambda r: r[0],
-    )
+    with mock.patch.object(kernels, "KERNEL_MIN_BATCH", sys.maxsize):
+        t_scalar_k, result_sk = min(
+            (run_engine(batch) for _ in range(trials)),
+            key=lambda r: r[0],
+        )
     t_batch_k, result_bk = min(
-        (run_engine(batch, kernel="auto") for _ in range(trials)),
+        (run_engine(batch) for _ in range(trials)),
         key=lambda r: r[0],
     )
-    assert same_grouping(base_keys, result_sk), "kernel=scalar diverged"
-    assert same_grouping(base_keys, result_bk), "kernel=auto diverged"
+    assert same_grouping(base_keys, result_sk), "scalar pre-keys diverged"
+    assert same_grouping(base_keys, result_bk), "batched pre-keys diverged"
     report["scenarios"]["kernel_on_off"] = {
         "scalar_seconds": t_scalar_k,
         "batch_seconds": t_batch_k,

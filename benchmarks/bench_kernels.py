@@ -16,26 +16,19 @@ Scenarios, each swept over n in {4..10} and batch sizes {16, 256, 4096}:
 * ``walsh`` — the packed bias-encoded Walsh butterfly vs the Python-list
   reference, one spectrum per function (B is the function count).
 
-Above the flat sweep, the *word-array* cells (n in {12, 14, 16}) bench
-the slab layout of ``repro.kernels.wordarray`` — the flat lane kernels
-lose to scalar up there, so these cells compare slabs against the
-scalar references directly:
-
-* ``prekey_words`` — coarse pre-keys *plus* the full cofactor-weight
-  vectors through the slab pipeline (the engine's bucketing payload);
-  the acceptance target is >= 2x over scalar at every large cell.
-* ``walsh`` — large-n tier check of the packed Walsh butterfly (32-bit
-  fields at n = 15..16).
+Above the flat sweep, the large cells (n in {12, 14, 16}) bench only
+``walsh``: the large-n tier check of the packed Walsh butterfly (32-bit
+fields at n = 15..16).  Pre-keys have no batch path there — the engine
+runs the scalar loop past ``repro.kernels.prekey.BATCH_MAX_N``.
 
 Scalar and batch sides of every cell run inside the *same* invocation so
 machine noise cancels out of the ratio; each side is best-of ``--trials``.
 Results go to ``BENCH_kernels.json`` (override with ``--out``).
 
 ``--guardrail`` runs only the acceptance cell (prekey, n = 8, B = 256)
-plus the word-array cell (n = 14) — each asserts the batch results are
-bit-identical to scalar — and exits non-zero if either kernel is slower
-than scalar: a cheap CI tripwire, deliberately far below the 3x/2x
-targets because shared CI boxes are noisy.
+— it asserts the batch results are bit-identical to scalar — and exits
+non-zero if the kernel is slower than scalar: a cheap CI tripwire,
+deliberately far below the 3x target because shared CI boxes are noisy.
 """
 
 from __future__ import annotations
@@ -53,7 +46,6 @@ from repro import kernels
 from repro.boolfunc import walsh
 from repro.boolfunc.truthtable import TruthTable
 from repro.engine.prekey import coarse_prekey
-from repro.kernels import wordarray
 from repro.utils import bitops
 
 N_SWEEP = (4, 5, 6, 7, 8, 9, 10)
@@ -62,12 +54,8 @@ ACCEPT_N = 8
 ACCEPT_B = 256
 ACCEPT_SPEEDUP = 3.0
 
-# Word-array (slab) cells: n >= SLAB_MIN_N where the flat lane layout
-# loses to scalar and the slab layout must carry the batch margin.
+# Large cells: past the batch bound, where only the Walsh tiers run.
 LARGE_CELLS = ((12, 256), (14, 256), (16, 64))
-WORDS_ACCEPT_SPEEDUP = 2.0
-WORDS_GUARD_N = 14
-WORDS_GUARD_B = 64
 LARGE_WALSH_B = 8
 
 
@@ -111,13 +99,6 @@ def bench_prekey(bl, n, trials):
     return {"scalar_seconds": t_s, "batch_seconds": t_b, "speedup": t_s / t_b}
 
 
-def bench_words_prekey(bl, n, trials):
-    t_s, scalar = best_of(trials, scalar_prekeys_reference, bl, n)
-    t_b, batch = best_of(trials, wordarray.batch_prekeys, bl, n)
-    assert batch == scalar, f"word-array prekey mismatch at n={n}"
-    return {"scalar_seconds": t_s, "words_seconds": t_b, "speedup": t_s / t_b}
-
-
 def bench_walsh(bl, n, trials):
     tables = [TruthTable(n, b) for b in bl]
     refs = [
@@ -154,15 +135,9 @@ def run_sweep(trials: int, seed: int, quick: bool):
     if not quick:
         for n, count in LARGE_CELLS:
             bl = make_batch(n, count, rng)
-            cell = {
-                "prekey_words": bench_words_prekey(bl, n, trials),
-                "walsh": bench_walsh(bl[:LARGE_WALSH_B], n, trials),
-            }
+            cell = {"walsh": bench_walsh(bl[:LARGE_WALSH_B], n, trials)}
             cells[f"n={n},B={count}"] = cell
-            print(
-                f"n={n:2d} B={count:4d}  prekey {cell['prekey_words']['speedup']:5.2f}x  "
-                f"walsh {cell['walsh']['speedup']:5.2f}x  [words]"
-            )
+            print(f"n={n:2d} B={count:4d}  walsh {cell['walsh']['speedup']:5.2f}x")
     return cells
 
 
@@ -178,22 +153,6 @@ def run_guardrail(trials: int, seed: int) -> int:
     )
     if cell["speedup"] < 1.0:
         print("GUARDRAIL FAILED: batch prekey slower than scalar", file=sys.stderr)
-        return 1
-    # Word-array cell: bench_words_prekey asserts bit-identical keys and
-    # weight vectors against the scalar reference before timing.
-    wbl = make_batch(WORDS_GUARD_N, WORDS_GUARD_B, rng)
-    wcell = bench_words_prekey(wbl, WORDS_GUARD_N, min(trials, 3))
-    print(
-        f"guardrail prekey_words n={WORDS_GUARD_N} B={WORDS_GUARD_B}: "
-        f"scalar {wcell['scalar_seconds'] * 1e3:.2f}ms "
-        f"words {wcell['words_seconds'] * 1e3:.2f}ms "
-        f"speedup {wcell['speedup']:.2f}x"
-    )
-    if wcell["speedup"] < 1.0:
-        print(
-            "GUARDRAIL FAILED: word-array prekey slower than scalar",
-            file=sys.stderr,
-        )
         return 1
     return 0
 
@@ -226,7 +185,6 @@ def main(argv=None) -> int:
         "n_sweep": list(N_SWEEP if not args.quick else (4, 8)),
         "batch_sweep": list(B_SWEEP if not args.quick else (256,)),
         "kernel_min_batch": kernels.KERNEL_MIN_BATCH,
-        "slab_min_n": wordarray.SLAB_MIN_N,
         "large_cells": [list(cell) for cell in LARGE_CELLS]
         if not args.quick
         else [],
@@ -246,15 +204,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         rc = 1
-    if not args.quick:
-        for n, count in LARGE_CELLS:
-            if cells[f"n={n},B={count}"]["prekey_words"]["speedup"] < WORDS_ACCEPT_SPEEDUP:
-                print(
-                    f"WARNING: prekey_words speedup at n={n}, B={count} "
-                    f"below {WORDS_ACCEPT_SPEEDUP}x",
-                    file=sys.stderr,
-                )
-                rc = 1
     return rc
 
 

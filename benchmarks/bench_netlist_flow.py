@@ -9,10 +9,11 @@ through three mapper configurations and records wall-clock, dedup, and
 engine counters per arm:
 
 * ``scalar_cold`` — the two-phase flow (catalog → engine classify →
-  witness-replay bind) with the scalar pre-key kernel and no persistent
-  store.  The baseline.
-* ``auto_cold`` — same with the bit-parallel batch kernel
-  (``kernel="auto"``).
+  witness-replay bind) with every pre-key group forced through the
+  scalar loop (``kernels.KERNEL_MIN_BATCH`` raised out of reach) and no
+  persistent store.  The baseline.
+* ``auto_cold`` — same with the default engine, which batches pre-keys
+  through the bit-parallel kernel.
 * ``auto_warm`` — batch kernel plus a class store seeded by a prior
   (untimed) pass over the same circuits, so classification warm-starts
   from store membership probes.
@@ -40,10 +41,11 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
+from repro import kernels
 from repro.aig import Aig, AigMapper
 from repro.benchcircuits.suite import EXTRA_CIRCUITS, TABLE1_CIRCUITS, build_circuit
-from repro.engine import EngineOptions
 from repro.store import ClassStore
 
 GUARDRAIL_CIRCUITS = ["lal", "rd73", "z4ml", "f51m", "9sym", "alu2"]
@@ -168,13 +170,13 @@ def main(argv=None) -> int:
     }
     covers = {}
 
-    for arm, kernel in (("scalar_cold", "scalar"), ("auto_cold", "auto")):
-        report["modes"][arm], covers[arm] = run_arm(
-            arm,
-            AigMapper(cut_size=args.cut_size, engine_options=EngineOptions(kernel=kernel)),
-            aigs,
-            verify,
+    with mock.patch.object(kernels, "KERNEL_MIN_BATCH", sys.maxsize):
+        report["modes"]["scalar_cold"], covers["scalar_cold"] = run_arm(
+            "scalar_cold", AigMapper(cut_size=args.cut_size), aigs, verify
         )
+    report["modes"]["auto_cold"], covers["auto_cold"] = run_arm(
+        "auto_cold", AigMapper(cut_size=args.cut_size), aigs, verify
+    )
 
     store_dir = tempfile.mkdtemp(prefix="bench_netlist_store_")
     try:

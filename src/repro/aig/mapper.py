@@ -17,7 +17,7 @@ cell index by witness replay
 class-key resolution per *class*, one bind per distinct function, and
 no matcher run at all.  Each bind is a pure function of the cut
 function and the library, so the cover does not depend on store
-warmth, kernel or what the engine mapped before.
+warmth, the pre-key path or what the engine mapped before.
 """
 
 from __future__ import annotations

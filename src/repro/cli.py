@@ -48,7 +48,6 @@ from repro.core.polarity import decide_polarity_primary
 from repro.core.symmetry import all_pair_symmetries_via_grm, linear_variables
 from repro.grm.forms import Grm
 from repro.grm.minimize import minimize_exact, minimize_greedy
-from repro.kernels import KERNEL_MODES
 
 
 def _shrink(name: str, tt: TruthTable, support: Sequence[int]) -> OutputFunction:
@@ -166,8 +165,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
     if args.random:
         # Synthetic stress path: seeded random n-variable functions
-        # straight into the engine, no circuit parsing.  This is the
-        # large-n soak the slab pre-key layout is sized for.
+        # straight into the engine, no circuit parsing (the large-n
+        # soak).
         rng = random_mod.Random(args.seed)
         circuit = BenchmarkCircuit(
             f"random(n={args.n}, count={args.random}, seed={args.seed})",
@@ -184,7 +183,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     else:
         circuit = load_circuit(args.file)
     tables = [out.table for out in circuit.outputs]
-    options = EngineOptions(cache_size=args.cache_size, kernel=args.kernel)
+    options = EngineOptions(cache_size=args.cache_size)
     result = ClassificationEngine(options).classify(tables)
     if args.json:
         from repro.obs import stats_json
@@ -302,7 +301,6 @@ def _load_netlist(ref: str):
 def cmd_map(args: argparse.Namespace) -> int:
     from repro.aig import Aig, AigMapper
     from repro.benchcircuits import write_blif
-    from repro.engine import EngineOptions
 
     netlist = _load_netlist(args.file)
     aig = Aig.from_netlist(netlist)
@@ -312,7 +310,6 @@ def cmd_map(args: argparse.Namespace) -> int:
     mapper = AigMapper(
         cut_size=args.cut_size,
         max_cuts_per_node=args.max_cuts,
-        engine_options=EngineOptions(kernel=args.kernel),
         store=store,
     )
     start = time.perf_counter()
@@ -667,7 +664,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     store = _open_store(args, create=True) if args.store else None
     engine = ClassificationEngine(
-        EngineOptions(kernel=args.kernel, cache_size=args.cache_size),
+        EngineOptions(cache_size=args.cache_size),
         store=store,
         auto_flush=False,
     )
@@ -834,13 +831,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="machine-readable engine stats as JSON (replaces text output)",
     )
     p.add_argument(
-        "--kernel",
-        choices=KERNEL_MODES,
-        default="auto",
-        help="pre-key computation: size-based auto dispatch or the "
-        "scalar loop (identical partitions)",
-    )
-    p.add_argument(
         "--random",
         type=int,
         default=0,
@@ -888,12 +878,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cut-size", type=int, default=4)
     p.add_argument(
         "--max-cuts", type=int, default=16, help="pruned cuts kept per node"
-    )
-    p.add_argument(
-        "--kernel",
-        choices=KERNEL_MODES,
-        default="auto",
-        help="classification pre-key kernel (identical covers in both modes)",
     )
     p.add_argument(
         "--store",
@@ -1133,10 +1117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cache-size", type=int, default=1 << 16, dest="cache_size",
         help="canonical-key LRU cache bound",
-    )
-    p.add_argument(
-        "--kernel", choices=KERNEL_MODES, default="auto",
-        help="classification pre-key kernel",
     )
     p.add_argument(
         "--flight-dir", default=None, dest="flight_dir",

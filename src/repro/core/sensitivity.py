@@ -32,7 +32,7 @@ batch influence tier: :mod:`repro.kernels.influence` batches it only up
 to ``n = 10`` and routes wider tables back here per lane, because the
 masked popcounts below already run at C speed and the packed pipeline's
 extra rounds stop amortizing (measured crossover; see
-``BATCH_MAX_N`` there).
+:data:`repro.kernels.prekey.BATCH_MAX_N`).
 
 Results are memoized per ``(n, bits)`` so the matcher, the engine's
 pre-key tiers, the batch-kernel fallbacks and the refinement stages

@@ -116,13 +116,6 @@ class EngineOptions:
     max_orderings: int = 40320
     """Ordering budget handed to :func:`canonical_form`."""
 
-    kernel: str = "auto"
-    """Pre-key computation dispatch: ``"auto"`` runs same-width groups of
-    at least :data:`repro.kernels.KERNEL_MIN_BATCH` distinct functions
-    through the bit-parallel batch kernel (flat lanes or slabs, chosen
-    by width), ``"scalar"`` always uses the per-function path.  Both
-    modes produce identical buckets and class partitions."""
-
     match_options: MatchOptions = field(default_factory=MatchOptions)
 
 
@@ -639,14 +632,14 @@ class ClassificationEngine:
         then sensitivity, then the symmetry fine key — with each tier
         only computed inside buckets where the cheaper tier collided.
 
-        Same-width groups large enough for the bit-parallel kernel (per
-        ``options.kernel``, see :func:`repro.kernels.should_batch`) get
-        their coarse pre-keys — and cofactor-weight vectors, returned as
-        the second element for :class:`TruthTable` pre-seeding — from
-        one packed pass, and collided coarse buckets batch their
-        influence vectors the same way; the rest take the scalar path.
-        Both paths emit identical keys, so bucket contents never depend
-        on the kernel mode.
+        Same-width groups the bit-parallel kernel takes (see
+        :func:`repro.kernels.should_batch`: enough tables of a supported
+        width) get their coarse pre-keys — and cofactor-weight vectors,
+        returned as the second element for :class:`TruthTable`
+        pre-seeding — from one packed pass, and collided coarse buckets
+        batch their influence vectors the same way; the rest take the
+        scalar path.  Both paths emit identical keys, so bucket contents
+        never depend on which one ran.
         """
         buckets: Dict[Tuple, List[Tuple[int, int]]] = {}
         weights_of: Dict[Tuple[int, int], Tuple] = {}
@@ -655,7 +648,7 @@ class ClassificationEngine:
         for n, bits in members_of:
             by_n.setdefault(n, []).append(bits)
         for n, group in sorted(by_n.items()):
-            if kernels.should_batch(n, len(group), self.options.kernel):
+            if kernels.should_batch(n, len(group)):
                 keys, weights = kernels.coarse_prekeys(group, n)
                 stats.kernel_batched += len(group)
                 for bits, ckey, w in zip(group, keys, weights):
@@ -695,7 +688,7 @@ class ClassificationEngine:
         """
         stats.influence_keyed_buckets += 1
         n = items[0][0]
-        if kernels.should_batch(n, len(items), self.options.kernel):
+        if kernels.should_batch(n, len(items)):
             infls = kernels.influence_vectors([bits for _, bits in items], n)
         else:
             infls = None
@@ -732,7 +725,7 @@ def classify_batch(
     options: Optional[EngineOptions] = None,
     **overrides,
 ) -> EngineResult:
-    """One-shot convenience: ``classify_batch(funcs, kernel="scalar")``."""
+    """One-shot convenience: ``classify_batch(funcs, cache_size=1024)``."""
     if options is None:
         options = EngineOptions(**overrides)
     elif overrides:

@@ -8,15 +8,13 @@ strided popcount main chain the weight butterfly uses, so every lane's
 ``inf_i`` falls out of ``n`` reduction rounds per axis.
 
 :func:`batch_influence` silently falls back to the scalar implementation
-below the kernel's byte-aligned lane floor (``n < 3``) — mirroring
-:func:`repro.kernels.prekey.batch_prekeys` — and *above*
-:data:`BATCH_MAX_N`: the pipeline is n reduction rounds per axis (n^2
-total) over the whole packed batch, and from ``n = 11`` up that loses
-to the scalar per-table masked-popcount loop by ~7x (28ms vs 4ms at
-n=14, B=256): bare popcounts are already C-speed, so the packing buys
-nothing.  The slab layout does not help here: its win comes from
-*sharing* one reduction across all 2n cofactor counts, and influence
-needs a fresh XOR-ed table per axis.
+outside :func:`repro.kernels.prekey.supported` widths, the same bound
+as the pre-key kernel: below the byte-aligned lane floor (``n < 3``)
+and above :data:`repro.kernels.prekey.BATCH_MAX_N`.  The pipeline is n
+reduction rounds per axis (n^2 total) over the whole packed batch, and
+from ``n = 11`` up that loses to the scalar per-table masked-popcount
+loop by ~7x (28ms vs 4ms at n=14, B=256): bare popcounts are already
+C-speed, so the packing buys nothing.
 """
 
 from __future__ import annotations
@@ -24,20 +22,9 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.kernels import lanes
-from repro.kernels.prekey import supported as _prekey_supported
-from repro.kernels.wordarray import SLAB_MIN_N
+from repro.kernels.prekey import supported
 
-__all__ = ["BATCH_MAX_N", "batch_influence", "supported"]
-
-BATCH_MAX_N = SLAB_MIN_N - 1
-"""Widest tables the packed influence pipeline batches; above this the
-scalar loop wins (see the module docstring)."""
-
-
-def supported(n: int) -> bool:
-    """Whether the packed influence pipeline covers ``n`` (byte-aligned
-    lanes at the bottom, the measured scalar crossover at the top)."""
-    return _prekey_supported(n) and n <= BATCH_MAX_N
+__all__ = ["batch_influence"]
 
 
 def _lane_counts(x: int, n: int, count: int, lb: int, total_bits: int):

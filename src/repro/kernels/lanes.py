@@ -169,11 +169,11 @@ def extract_lanes(x: int, lane_nbytes: int, count: int, maxval: int):
     Three tiers, fastest first: values below 256 come straight out of a
     strided ``bytes`` slice (one C call); values that may *equal* 256
     reuse the byte column unless a lane actually overflowed (a low byte
-    of 0 is then ambiguous with value 0); anything wider slices as many
-    byte columns as ``maxval`` needs — two via a zip of the low/high
-    columns, more via ``int.from_bytes`` per lane (weights reach
-    ``2**n``, so n >= 16 lands here).  Returns a ``bytes`` (tier 1/2)
-    or ``list`` — both index and iterate like a sequence of ints.
+    of 0 is then ambiguous with value 0); anything wider zips the low
+    and high byte columns.  The packed kernels stop at ``n = 10``, so
+    ``maxval`` never exceeds ``2**10`` and two bytes always suffice.
+    Returns a ``bytes`` (tier 1/2) or ``list`` — both index and iterate
+    like a sequence of ints.
     """
     buf = x.to_bytes(count * lane_nbytes, "little")
     lows = buf[0::lane_nbytes]
@@ -181,16 +181,5 @@ def extract_lanes(x: int, lane_nbytes: int, count: int, maxval: int):
         return lows
     if maxval == 256 and 0 not in lows:
         return lows
-    if maxval < 65536:
-        highs = buf[1::lane_nbytes]
-        return [lo | (hi << 8) for lo, hi in zip(lows, highs)]
-    nb = (maxval.bit_length() + 7) >> 3
-    if nb > lane_nbytes:
-        raise ValueError(
-            f"maxval {maxval} needs {nb} bytes but lanes hold {lane_nbytes}"
-        )
-    ib = int.from_bytes
-    return [
-        ib(buf[k * lane_nbytes:k * lane_nbytes + nb], "little")
-        for k in range(count)
-    ]
+    highs = buf[1::lane_nbytes]
+    return [lo | (hi << 8) for lo, hi in zip(lows, highs)]

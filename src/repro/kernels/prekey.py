@@ -53,14 +53,12 @@ from repro.utils import bitops
 
 Pair = Tuple[int, int]
 
-PAIR_ROW_MAX_SIZE = 2048
-"""Largest table size (``2**n``) for which pair rows are materialized.
-A row costs O(size) tuples and is keyed by ``(size, fw)``; at small
-``n`` rows are few and heavily shared across lanes, but from ``n ~ 12``
-up nearly every lane has a distinct weight, so building rows would cost
-O(B * 2**n) tuples per cold batch and pin them in the cache forever.
-Above this bound the finishing loop builds each lane's n pairs
-directly."""
+BATCH_MAX_N = 10
+"""Widest tables the packed pipelines batch.  Lanes then hold at most
+``2**10`` bits and every extracted field fits in two bytes.  The flat
+layout pays ``n + n*(n-1)/2`` butterfly rounds over the whole batch, so
+its margin over the scalar loop decays with ``n`` and falls below 1x by
+``n = 11`` (BENCH_kernels.json); wider groups run the scalar loop."""
 
 _pair_rows: Dict[Tuple[int, int], List[Pair]] = {}
 _npair_rows: Dict[Tuple[int, int], List[Pair]] = {}
@@ -121,8 +119,8 @@ def butterfly(packed: int, n: int, count: int) -> Tuple[int, List[int]]:
 
 
 def _lane_columns(bits_list: Sequence[int], n: int, count: int):
-    """Pack, reduce, SWAR-min and extract: the front half of the flat
-    pre-key kernel.
+    """Pack, reduce, SWAR-min and extract: the front half of
+    :func:`batch_prekeys`.
 
     Returns ``(w, ncw_cols, min_cols)`` — per-lane total weights, one
     extracted column per variable of negative cofactor weights, and one
@@ -151,34 +149,33 @@ def _lane_columns(bits_list: Sequence[int], n: int, count: int):
     return w, ncw_cols, min_cols
 
 
-def finish_prekeys(
-    cols, bits_list: Sequence[int], n: int
+def batch_prekeys(
+    bits_list: Sequence[int], n: int
 ) -> Tuple[List[tuple], List[Tuple[Pair, ...]]]:
-    """Shared back half of the pre-key kernels: turn the extracted
-    ``(w, ncw_cols, min_cols)`` columns into the scalar-identical
-    ``(keys, weights)`` lists.
+    """Coarse pre-keys *and* cofactor-weight vectors for a whole batch.
 
-    Both layouts (flat lanes and the slab pipeline in
-    :mod:`repro.kernels.wordarray`) produce the same columns and end
-    here.  Small tables go through the shared pair-row tables; above
-    :data:`PAIR_ROW_MAX_SIZE` each lane's pairs are built directly
-    (see the constant's docstring for why).
+    Returns ``(keys, weights)`` where ``keys[k]`` equals
+    ``coarse_prekey(TruthTable(n, bits_list[k]))`` bit-for-bit and
+    ``weights[k]`` is the ``((ncw, pcw), ...)`` vector (the two share
+    one butterfly, which is where the batch speedup comes from).
+    Scalar fallback outside :func:`supported` widths.
     """
-    w, ncw_cols, min_cols = cols
+    count = len(bits_list)
+    if not count:
+        return [], []
+    if not supported(n):
+        return _scalar_prekeys(bits_list, n)
     size = 1 << n
     half = size >> 1
-    use_rows = size <= PAIR_ROW_MAX_SIZE
+    w, ncw_cols, min_cols = _lane_columns(bits_list, n, count)
     keys: List[tuple] = []
     weights: List[Tuple[Pair, ...]] = []
     kap = keys.append
     wap = weights.append
     axis_masks = bitops.axis_masks(n)
     for fw, row, nrow, bits in zip(w, zip(*min_cols), zip(*ncw_cols), bits_list):
-        pf = pair_row(size, fw) if use_rows else None
-        if use_rows:
-            wap(tuple(map(pf.__getitem__, nrow)))
-        else:
-            wap(tuple((m, fw - m) for m in nrow))
+        pf = pair_row(size, fw)
+        wap(tuple(map(pf.__getitem__, nrow)))
         hf = fw >> 1
         if (fw & 1) or hf not in row:
             support = n
@@ -192,60 +189,26 @@ def finish_prekeys(
                         support -= 1
         srow = sorted(row)
         if fw <= half:
-            if use_rows:
-                kap((n, support, fw, tuple(map(pf.__getitem__, srow))))
-            else:
-                kap((n, support, fw, tuple((m, fw - m) for m in srow)))
+            kap((n, support, fw, tuple(map(pf.__getitem__, srow))))
         else:
-            if use_rows:
-                kap(
-                    (
-                        n,
-                        support,
-                        size - fw,
-                        tuple(map(npair_row(size, fw).__getitem__, srow)),
-                    )
+            kap(
+                (
+                    n,
+                    support,
+                    size - fw,
+                    tuple(map(npair_row(size, fw).__getitem__, srow)),
                 )
-            else:
-                d = half - fw
-                kap(
-                    (
-                        n,
-                        support,
-                        size - fw,
-                        tuple((m + d, half - m) for m in srow),
-                    )
-                )
+            )
     return keys, weights
-
-
-def batch_prekeys(
-    bits_list: Sequence[int], n: int
-) -> Tuple[List[tuple], List[Tuple[Pair, ...]]]:
-    """Coarse pre-keys *and* cofactor-weight vectors for a whole batch.
-
-    Returns ``(keys, weights)`` where ``keys[k]`` equals
-    ``coarse_prekey(TruthTable(n, bits_list[k]))`` bit-for-bit and
-    ``weights[k]`` is the ``((ncw, pcw), ...)`` vector (the two share
-    one butterfly, which is where the batch speedup comes from).
-    Scalar fallback below ``n = 3``.
-    """
-    count = len(bits_list)
-    if not count:
-        return [], []
-    if not supported(n):
-        return _scalar_prekeys(bits_list, n)
-    return finish_prekeys(_lane_columns(bits_list, n, count), bits_list, n)
 
 
 def supported(n: int) -> bool:
     """Whether the packed pre-key/weight pipeline covers ``n``.
 
     The byte-strided extraction needs lanes of at least one byte
-    (``n >= 3``); above :data:`repro.utils.bitops.MAX_VARS` tables are
-    rejected everywhere anyway.
+    (``n >= 3``); above :data:`BATCH_MAX_N` the scalar loop wins.
     """
-    return 3 <= n <= bitops.MAX_VARS
+    return 3 <= n <= BATCH_MAX_N
 
 
 def _scalar_prekeys(bits_list, n):

@@ -32,8 +32,11 @@ is the 429 analogue the bounded request queue replies with under
 saturation, and the HTTP shim maps the codes onto real status lines.
 
 Truth-table bits travel as either a JSON integer or a ``"0x..."``
-string (big tables read better hex-encoded; Python JSON handles both
-losslessly).  Responses always use hex strings.
+string.  Hex works at every width.  A JSON integer works only up to the
+interpreter's int-to-str digit limit (4,300 digits by default in
+CPython, see ``sys.get_int_max_str_digits``): a random ``n = 14`` table
+is about 4,900 digits long, and such a line is ``bad_request``.
+Responses always use hex strings.
 
 Any request may additionally carry a ``trace_id`` — an opaque string
 (at most ``MAX_TRACE_ID_CHARS`` characters) naming the caller's trace
@@ -152,6 +155,12 @@ def decode_request(line: bytes) -> Dict[str, Any]:
         obj = json.loads(line)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ProtocolError(ERR_BAD_REQUEST, f"unparseable JSON: {exc}") from None
+    except ValueError as exc:
+        # An integer literal past the interpreter's digit limit.
+        raise ProtocolError(
+            ERR_BAD_REQUEST,
+            'integer literal too long to parse; send bits as a "0x..." hex string',
+        ) from None
     if not isinstance(obj, dict):
         raise ProtocolError(ERR_BAD_REQUEST, "request must be a JSON object")
     op = obj.get("op")

@@ -126,12 +126,6 @@ class ServeConfig:
     """False forces ``max_batch=1, max_wait=0`` (the load harness's
     coalescing-off arm); everything else stays identical."""
 
-    window_seconds: float = 60.0
-    """Span of the sliding stats window (rolling rps and p50/p99)."""
-
-    window_buckets: int = 12
-    """Ring buckets in the sliding window (resolution of expiry)."""
-
     flight_dir: Optional[str] = None
     """Directory for automatic flight-recorder dumps.  ``None`` disables
     the slow-request/overloaded/internal triggers; SIGUSR2 still dumps
@@ -140,12 +134,6 @@ class ServeConfig:
     slow_request_ms: float = 250.0
     """A request at or above this latency triggers a flight dump (when
     ``flight_dir`` is set); 0 disables the slow trigger."""
-
-    flight_capacity: int = 2048
-    """Spans kept in the flight ring (envelopes ring is half that)."""
-
-    flight_min_interval: float = 5.0
-    """Seconds between automatic flight dumps (storm suppression)."""
 
 
 class MatchServer:
@@ -172,16 +160,8 @@ class MatchServer:
         self.engine = engine
         self.store = store if store is not None else engine.store
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.window = SlidingWindow(
-            window_seconds=self.config.window_seconds,
-            buckets=self.config.window_buckets,
-        )
-        self.flight = FlightRecorder(
-            capacity=self.config.flight_capacity,
-            envelope_capacity=max(1, self.config.flight_capacity // 2),
-            directory=self.config.flight_dir,
-            min_interval=self.config.flight_min_interval,
-        )
+        self.window = SlidingWindow()
+        self.flight = FlightRecorder(directory=config.flight_dir)
         # Always-on serving tracer: request/batch spans must reach the
         # flight ring even with global observability off; the forwarding
         # sink mirrors them into --trace files / test captures when the

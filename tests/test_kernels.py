@@ -3,10 +3,11 @@
 Every batch kernel must match its scalar reference bit-for-bit on the
 same inputs — seeded random batches across widths, uneven lane counts,
 and constant-0/1 edge lanes — and the classification engine must produce
-identical partitions under both kernel dispatch modes.
+identical partitions whether or not it batches its pre-keys.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -17,7 +18,7 @@ from repro.cli import main as cli_main
 from repro.core import sensitivity
 from repro.engine import EngineOptions, classify_batch
 from repro.engine.prekey import coarse_prekey
-from repro.kernels import lanes
+from repro.kernels import lanes, prekey
 from repro.testing.fuzzer import FuzzConfig, run_fuzz
 from repro.utils import bitops
 
@@ -43,7 +44,7 @@ def scalar_weights(bits_list, n):
     ]
 
 
-@pytest.mark.parametrize("n", range(0, 9))
+@pytest.mark.parametrize("n", range(0, prekey.BATCH_MAX_N + 1))
 def test_batch_prekeys_and_weights_match_scalar(n):
     rng = random.Random(100 + n)
     bl = batch_for(n, rng)
@@ -54,9 +55,9 @@ def test_batch_prekeys_and_weights_match_scalar(n):
 
 @pytest.mark.parametrize("n", (16, 17))
 def test_batch_prekeys_wide_tables(n):
-    # Regression: lane values (weights) reach 2**n >= 65536 here, which
-    # needs more than two extracted byte columns per lane; constant-1 at
-    # n=16 used to raise IndexError inside batch_prekeys.
+    # Above prekey.BATCH_MAX_N the batch API routes every lane to the
+    # scalar loop; weights reach 2**n >= 65536 here, and constants and a
+    # projection ride along with random lanes.
     rng = random.Random(600 + n)
     size = 1 << n
     bl = [0, (1 << size) - 1, bitops.axis_mask(n, n - 1)]
@@ -66,7 +67,7 @@ def test_batch_prekeys_wide_tables(n):
     assert weights == scalar_weights(bl, n)
 
 
-@pytest.mark.parametrize("n", range(0, 9))
+@pytest.mark.parametrize("n", range(0, prekey.BATCH_MAX_N + 1))
 def test_batch_influence_matches_scalar(n):
     rng = random.Random(700 + n)
     bl = batch_for(n, rng, extra=13)
@@ -77,8 +78,8 @@ def test_batch_influence_matches_scalar(n):
 
 @pytest.mark.parametrize("n", (16, 17))
 def test_batch_influence_wide_tables(n):
-    # Above BATCH_MAX_N the batch API routes every lane to the scalar
-    # loop; influence counts reach 2**(n-1) here.  Constants (empty
+    # Above prekey.BATCH_MAX_N the batch API routes every lane to the
+    # scalar loop; influence counts reach 2**(n-1) here.  Constants (empty
     # boundary everywhere) and a full-support function ride along with
     # random lanes.
     rng = random.Random(800 + n)
@@ -119,23 +120,37 @@ def test_single_variable_prekey_fallback():
 
 
 def test_should_batch_dispatch():
-    assert kernels.should_batch(8, kernels.KERNEL_MIN_BATCH, "auto")
-    assert not kernels.should_batch(8, kernels.KERNEL_MIN_BATCH - 1, "auto")
-    assert not kernels.should_batch(2, 100, "auto")  # unsupported width
-    assert not kernels.should_batch(8, 100, "scalar")
-    with pytest.raises(ValueError):
-        kernels.should_batch(8, 100, "gpu")
+    assert kernels.should_batch(8, kernels.KERNEL_MIN_BATCH)
+    assert not kernels.should_batch(8, kernels.KERNEL_MIN_BATCH - 1)
+    assert not kernels.should_batch(2, 100)  # below the byte-aligned lanes
+    assert kernels.should_batch(prekey.BATCH_MAX_N, 100)
+    assert not kernels.should_batch(prekey.BATCH_MAX_N + 1, 100)
 
 
 @pytest.mark.parametrize("mode", ("batch", "lanes", "words"))
 def test_retired_kernel_modes_are_rejected(mode, capsys):
-    assert kernels.KERNEL_MODES == ("auto", "scalar")
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         kernels.should_batch(8, 100, mode)
     with pytest.raises(SystemExit) as exc:
         cli_main(["classify", "--random", "4", "--n", "4", "--kernel", mode])
     assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    assert "--kernel" in capsys.readouterr().err
+
+
+def test_retired_kernel_option_is_rejected(capsys):
+    # The engine picks its pre-key path from the batch alone; no option,
+    # flag or mode selects it.
+    with pytest.raises(TypeError):
+        EngineOptions(kernel="auto")
+    for argv in (
+        ["classify", "--random", "4", "--n", "4", "--kernel", "auto"],
+        ["map", "bench:maj", "--kernel", "auto"],
+        ["serve", "--port", "0", "--kernel", "auto"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2, argv
+        assert "--kernel" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", range(0, 9))
@@ -184,21 +199,18 @@ def test_truthtable_cofactor_weights_cache_and_priming():
     assert g.cofactor_weights() is expected
 
 
-def test_engine_partitions_identical_across_kernel_modes():
+def test_engine_partitions_identical_across_kernel_modes(monkeypatch):
+    # The default engine batches its pre-keys; raising the batch floor
+    # out of reach forces every group through the scalar loop.
     rng = random.Random(42)
     batch = [TruthTable(5, rng.getrandbits(32)) for _ in range(200)]
     batch += [TruthTable(n, rng.getrandbits(1 << n)) for n in (1, 2, 3, 4) for _ in range(10)]
-    results = {
-        mode: classify_batch(
-            [TruthTable(f.n, f.bits) for f in batch],
-            options=EngineOptions(kernel=mode),
-        )
-        for mode in kernels.KERNEL_MODES
-    }
-    for mode in kernels.KERNEL_MODES:
-        assert results[mode].members == results["scalar"].members
-    assert results["auto"].stats.kernel_batched > 0
-    assert results["scalar"].stats.kernel_batched == 0
+    batched = classify_batch([TruthTable(f.n, f.bits) for f in batch])
+    monkeypatch.setattr(kernels, "KERNEL_MIN_BATCH", sys.maxsize)
+    scalar = classify_batch([TruthTable(f.n, f.bits) for f in batch])
+    assert batched.members == scalar.members
+    assert batched.stats.kernel_batched > 0
+    assert scalar.stats.kernel_batched == 0
 
 
 def test_fuzzer_prekey_filter_is_sound():

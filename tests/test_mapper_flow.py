@@ -2,12 +2,15 @@
 
 Covers the batched catalog → engine-classify → witness-replay path:
 map + verify round trips over benchmark circuits, cover identity
-across kernel, worker count and store warmth, store warm-start, and the
+across the pre-key path and store warmth, store warm-start, and the
 per-class accounting surface.
 """
 
+import sys
+
 import pytest
 
+from repro import kernels
 from repro.aig import Aig, AigMapper, catalog_cut_functions
 from repro.benchcircuits import build_circuit, write_blif
 from repro.benchcircuits.suite import EXTRA_CIRCUITS, TABLE1_CIRCUITS
@@ -78,9 +81,9 @@ def _cover(result):
         if name not in COVER_IDENTITY_SUBSET
     ],
 )
-def test_scalar_and_batch_kernels_emit_identical_covers(name, tmp_path):
-    # Kernel, store warmth and what the engine classified before must
-    # not change a single binding.  Comparing bindings, not
+def test_scalar_and_batch_kernels_emit_identical_covers(name, tmp_path, monkeypatch):
+    # The pre-key path, store warmth and what the engine classified
+    # before must not change a single binding.  Comparing bindings, not
     # only the BLIF, matters: the BLIF holds each node's local function,
     # so two bindings of one function with different inverters emit the
     # same netlist.
@@ -90,14 +93,19 @@ def test_scalar_and_batch_kernels_emit_identical_covers(name, tmp_path):
     seeded.flush()
     after_lal = AigMapper()
     after_lal.map(lal)
+    aig = _aig(name)
+    covers = {}
+    with monkeypatch.context() as m:
+        # A batch floor out of reach sends every pre-key group through
+        # the scalar loop.
+        m.setattr(kernels, "KERNEL_MIN_BATCH", sys.maxsize)
+        covers["scalar"] = _cover(AigMapper().map(aig))
     mappers = {
-        "scalar": AigMapper(engine_options=EngineOptions(kernel="scalar")),
-        "auto": AigMapper(engine_options=EngineOptions(kernel="auto")),
+        "auto": AigMapper(),
         "warm from lal": AigMapper(store=ClassStore(str(tmp_path / "lal"))),
         "after lal": after_lal,
     }
-    aig = _aig(name)
-    covers = {arm: _cover(mapper.map(aig)) for arm, mapper in mappers.items()}
+    covers.update((arm, _cover(mapper.map(aig))) for arm, mapper in mappers.items())
     area, bindings, blif = covers["scalar"]
     for arm, (arm_area, arm_bindings, arm_blif) in covers.items():
         assert arm_area == area, arm

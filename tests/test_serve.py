@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 import socket
+import sys
 import threading
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from repro.core.matcher import match_with_stats
 from repro.engine import ClassificationEngine
 from repro.serve import (
     ERR_BAD_REQUEST,
+    ERR_INTERNAL,
     ERR_OVERLOADED,
     ERR_PAYLOAD_TOO_LARGE,
     MatchServer,
@@ -196,6 +198,34 @@ class TestRejection:
                 assert response["error"] == ERR_PAYLOAD_TOO_LARGE
                 assert reader.readline() == b""  # server closed the conn
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits")
+        or not 0 < sys.get_int_max_str_digits() <= 4400,
+        reason="needs CPython's int-to-str digit limit below 4,401 digits",
+    )
+    def test_oversized_json_integer_bits_answer_bad_request(self, rng):
+        # 10**4400 < 2**16384 is a valid n = 14 table, but json.loads
+        # refuses an integer literal of 4,401 digits.  The payload is
+        # built as bytes, so the test itself converts no big int.
+        line = b'{"op":"classify","n":14,"bits":1' + b"0" * 4400 + b"}\n"
+        with serve(ServeConfig()) as st:
+            with socket.create_connection(("127.0.0.1", st.port), timeout=10) as sock:
+                reader = sock.makefile("rb")
+                sock.sendall(line)
+                bad = json.loads(reader.readline())
+                assert bad["ok"] is False
+                assert bad["error"] == ERR_BAD_REQUEST
+                assert "hex" in bad["detail"]
+                f = TruthTable.random(4, rng)
+                sock.sendall(
+                    encode_line({"op": "classify", "n": 4, "bits": f"0x{f.bits:x}"})
+                )
+                assert json.loads(reader.readline())["ok"]
+                sock.sendall(encode_line({"op": "stats"}))
+                counters = json.loads(reader.readline())["result"]["counters"]
+        assert counters["serve.responses{code=bad_request}"] == 1
+        assert counters.get("serve.responses{code=internal}", 0) == 0
+
     def test_error_reply_leaves_connection_usable(self, rng):
         # A rejected op (store-less lookup) answers with an error and the
         # same connection keeps serving — errors never kill the session.
@@ -261,6 +291,69 @@ class TestCoalescing:
         for key, idxs in direct.members.items():
             for i in idxs:
                 assert got[i]["class"] == f"0x{key.key:x}"
+
+
+# ----------------------------------------------------------------------
+# Engine failure inside a served batch
+# ----------------------------------------------------------------------
+
+class TestEngineFailure:
+    def test_failed_batch_answers_internal_and_server_survives(
+        self, rng, tmp_path, monkeypatch
+    ):
+        # Four connections fill one max_batch=4 window; the engine raises
+        # on that first batch only.  Every request in it must get
+        # `internal`, each connection must then be served normally, and
+        # the failure must be counted and dumped from the flight ring.
+        width = 4
+        config = ServeConfig(max_batch=width, max_wait=2.0, flight_dir=str(tmp_path))
+        server = MatchServer(config=config)
+        real_classify = server.engine.classify
+        calls = []
+
+        def flaky_classify(tables):
+            calls.append(len(tables))
+            if len(calls) == 1:
+                raise RuntimeError("planted engine failure")
+            return real_classify(tables)
+
+        monkeypatch.setattr(server.engine, "classify", flaky_classify)
+        tables = [TruthTable.random(4, rng) for _ in range(2 * width)]
+        direct = ClassificationEngine().classify(tables)
+
+        def send_round(socks, readers, round_tables):
+            for sock, f in zip(socks, round_tables):
+                sock.sendall(
+                    encode_line({"op": "classify", "n": 4, "bits": f"0x{f.bits:x}"})
+                )
+            return [json.loads(reader.readline()) for reader in readers]
+
+        with ServerThread(server) as st:
+            socks = [
+                socket.create_connection(("127.0.0.1", st.port), timeout=10)
+                for _ in range(width)
+            ]
+            readers = [sock.makefile("rb") for sock in socks]
+            try:
+                failed = send_round(socks, readers, tables[:width])
+                served = send_round(socks, readers, tables[width:])
+            finally:
+                for sock in socks:
+                    sock.close()
+            with MatchClient(port=st.port) as client:
+                stats = client.stats()
+        assert calls[0] == width  # the whole window reached the engine
+        for reply in failed:
+            assert reply["ok"] is False
+            assert reply["error"] == ERR_INTERNAL
+            assert "planted engine failure" in reply["detail"]
+        for i, reply in enumerate(served, start=width):
+            assert reply["ok"], reply
+            assert reply["result"]["class"] == f"0x{direct.class_of(i).key:x}"
+        counters = stats["counters"]
+        assert counters["serve.responses{code=internal}"] == width
+        assert counters["serve.responses{code=ok}"] >= width
+        assert len(list(tmp_path.glob("flight-*-internal.jsonl"))) == 1
 
 
 # ----------------------------------------------------------------------
