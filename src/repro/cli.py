@@ -672,11 +672,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        max_wait=args.max_wait_ms / 1e3,
         max_pending=args.max_pending,
         flush_interval=args.flush_interval,
         compact_every=args.compact_every,
-        batching=not args.no_batching,
         flight_dir=args.flight_dir,
         slow_request_ms=args.slow_request_ms,
     )
@@ -689,8 +687,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cfg = server.config
         print(
             f"grm-match serve: listening on {cfg.host}:{server.port} "
-            f"(max_batch={cfg.max_batch}, max_wait={cfg.max_wait * 1e3:g} ms, "
-            f"max_pending={cfg.max_pending}"
+            f"(max_batch={cfg.max_batch}, max_pending={cfg.max_pending}"
             f"{', store=' + str(args.store) if args.store else ''})",
             flush=True,
         )
@@ -1074,9 +1071,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Long-running matching service: newline-delimited JSON over "
             "TCP (plus an HTTP/1.1 shim on the same port) fronting the "
-            "batch classification engine.  Concurrent requests coalesce "
-            "through a micro-batching window into kernel-batched "
-            "classify() calls; bounded queues answer 'overloaded' under "
+            "batch classification engine.  Requests that arrive while "
+            "the engine is busy coalesce into its next kernel-batched "
+            "classify() call; a bounded queue answers 'overloaded' under "
             "saturation; SIGTERM drains, flushes the store, and exits."
         ),
     )
@@ -1090,11 +1087,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=64, help="shard count (new stores)")
     p.add_argument(
         "--max-batch", type=int, default=128, dest="max_batch",
-        help="tables per engine batch (window dispatches when full)",
-    )
-    p.add_argument(
-        "--max-wait-ms", type=float, default=2.0, dest="max_wait_ms",
-        help="micro-batching window in milliseconds",
+        help="most tables per engine call (1 = no coalescing)",
     )
     p.add_argument(
         "--max-pending", type=int, default=1024, dest="max_pending",
@@ -1108,14 +1101,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--compact-every", type=int, default=0, dest="compact_every",
         help="compact the store after N flushing cycles (0 = never)",
     )
+    # A daemon sees mostly one-off tables, so a larger bound mostly
+    # retains tables that never return.
     p.add_argument(
-        "--no-batching",
-        action="store_true",
-        help="disable coalescing (one engine call per table; the load "
-        "harness's comparison arm)",
-    )
-    p.add_argument(
-        "--cache-size", type=int, default=1 << 16, dest="cache_size",
+        "--cache-size", type=int, default=1 << 12, dest="cache_size",
         help="canonical-key LRU cache bound",
     )
     p.add_argument(

@@ -34,9 +34,12 @@ masked popcounts below already run at C speed and the packed pipeline's
 extra rounds stop amortizing (measured crossover; see
 :data:`repro.kernels.prekey.BATCH_MAX_N`).
 
-Results are memoized per ``(n, bits)`` so the matcher, the engine's
-pre-key tiers, the batch-kernel fallbacks and the refinement stages
-share one computation.
+Results are memoized per ``(n, bits)`` so that, within one
+classification or match, the matcher, the engine's pre-key tiers, the
+batch-kernel fallbacks and the refinement stages share one computation.
+Both memos are sized for that reuse, not for reuse across calls: each
+holds 256 entries, because in a long-running daemon a larger one mostly
+retains cold functions that never return.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ def influence_vector(f: TruthTable) -> Tuple[int, ...]:
     return _influence_vector(f.n, f.bits)
 
 
-@lru_cache(maxsize=1 << 14)
+@lru_cache(maxsize=1 << 8)
 def _influence_vector(n: int, bits: int) -> Tuple[int, ...]:
     masks = bitops.axis_masks(n)
     return tuple(
@@ -146,7 +149,7 @@ def sensitivity_data(f: TruthTable) -> Tuple[Columns, Histogram, Histogram]:
     return _sensitivity_data(f.n, f.bits)
 
 
-@lru_cache(maxsize=1 << 12)
+@lru_cache(maxsize=1 << 8)
 def _sensitivity_data(n: int, bits: int) -> Tuple[Columns, Histogram, Histogram]:
     if n == 0:
         on = bits & 1

@@ -6,12 +6,12 @@ and the sharded :class:`~repro.store.ClassStore` into a serving story:
 * :mod:`repro.serve.protocol` — the wire format: newline-delimited JSON
   requests/responses (one object per line over TCP), error codes, and
   payload validation shared by the TCP core and the HTTP/1.1 shim.
-* :mod:`repro.serve.batcher` — the micro-batching window.  Concurrent
-  ``classify``/``match``/``lookup`` requests park in per-support-width
-  queues for at most ``max_wait`` seconds (or until ``max_batch``
-  tables collect) and leave as *one* kernel-batched ``classify()``
-  call; queues are bounded and overflow is an explicit ``overloaded``
-  reply, never unbounded growth.
+* :mod:`repro.serve.batcher` — the serving queue.  ``classify`` and
+  ``match`` tables that arrive while the engine thread is busy leave
+  together as its next kernel-batched ``classify()`` call (up to
+  ``max_batch`` tables); an idle engine takes a table at once.  The
+  queue is bounded and overflow is an explicit ``overloaded`` reply,
+  never unbounded growth.  (``lookup`` reads the store directly.)
 * :mod:`repro.serve.server` — the asyncio daemon: NDJSON-over-TCP with
   an HTTP/1.1 shim on the same port (``GET /metrics`` serves Prometheus
   text exposition), per-request root spans carrying the client's wire

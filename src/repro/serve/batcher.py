@@ -1,18 +1,22 @@
-"""The micro-batching window that coalesces requests into engine batches.
+"""The serving queue that coalesces requests into engine batches.
 
-Concurrent ``classify``/``match``/``lookup`` traffic arrives one
-function at a time, but the engine's entire advantage — exact dedup,
-kernel-batched pre-keys, membership probes against a shared ``known``
-set — only materializes over *batches*.  The :class:`MicroBatcher`
-bridges the two: submitted tables park in a per-support-width queue
-for at most ``max_wait`` seconds (or until ``max_batch`` of them
-collect, whichever is first) and leave as one
-:meth:`~repro.engine.ClassificationEngine.classify` call.
+Concurrent ``classify``/``match`` traffic arrives one function at a
+time, but the engine's entire advantage — exact dedup, kernel-batched
+pre-keys, membership probes against a shared ``known`` set — only
+materializes over *batches*.  The :class:`MicroBatcher` bridges the
+two by dispatching on idle ("group commit"): submitted tables join one
+FIFO queue, and a single runner task hands the engine thread up to
+``max_batch`` of them per
+:meth:`~repro.engine.ClassificationEngine.classify` call, looping until
+the queue is empty.  An idle engine takes a lone table at once; tables
+that arrive while a batch runs leave together as the next batch.  Batch
+size therefore follows load, with no window to tune.  A batch may mix
+support widths, since the engine groups by width itself.
 
 Three properties the server leans on:
 
 * **Bounded.**  Admission is checked against ``max_pending`` *before*
-  a table enters a queue; an overflowing submit raises
+  a table enters the queue; an overflowing submit raises
   :class:`OverloadedError` immediately (the server turns that into a
   429-style ``overloaded`` reply).  Memory is bounded by
   ``max_pending`` tables no matter what clients do.
@@ -25,9 +29,9 @@ Three properties the server leans on:
   from admission until their future resolves, so drain can wait for
   exactly the work it admitted.
 
-Batching disabled (``max_batch=1`` / ``max_wait=0``) degenerates to
-one engine call per table through the very same code path — the
-benchmark's on/off comparison toggles numbers, not code.
+Batching disabled (``max_batch=1``) degenerates to one engine call per
+table through the very same code path — the benchmark's on/off
+comparison toggles a number, not code.
 
 Tracing: when the server hands the batcher a tracer, every engine
 chunk runs under a root ``serve.batch`` span that
@@ -40,8 +44,9 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence
 
 from repro.boolfunc.truthtable import TruthTable
 from repro.obs.metrics import MetricsRegistry
@@ -77,7 +82,6 @@ class MicroBatcher:
         self,
         engine: "ClassificationEngine",
         max_batch: int = 128,
-        max_wait: float = 0.002,
         max_pending: int = 1024,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
@@ -86,16 +90,14 @@ class MicroBatcher:
             raise ValueError("max_pending must be at least 1")
         self.engine = engine
         self.max_batch = max(1, max_batch)
-        self.max_wait = max(0.0, max_wait)
         self.max_pending = max_pending
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="grm-serve-engine"
         )
-        self._waiting: Dict[int, List[_Slot]] = {}
-        self._timers: Dict[int, asyncio.TimerHandle] = {}
-        self._tasks: set = set()
+        self._queue: Deque[_Slot] = deque()
+        self._runner: Optional[asyncio.Task] = None
         self._pending = 0
         self._closed = False
 
@@ -108,8 +110,8 @@ class MicroBatcher:
 
     @property
     def queued(self) -> int:
-        """Tables currently parked in a window (not yet dispatched)."""
-        return sum(len(slots) for slots in self._waiting.values())
+        """Tables waiting in the queue (not yet handed to the engine)."""
+        return len(self._queue)
 
     # -- admission -------------------------------------------------------
 
@@ -136,18 +138,13 @@ class MicroBatcher:
         loop = asyncio.get_running_loop()
         self._pending += len(tables)
         futures: List[asyncio.Future] = []
-        touched = set()
         for table in tables:
             future = loop.create_future()
             futures.append(future)
-            self._waiting.setdefault(table.n, []).append(_Slot(table, future, span))
-            touched.add(table.n)
+            self._queue.append(_Slot(table, future, span))
         self.metrics.gauge("serve.queue_depth").set(self.queued)
-        for n in touched:
-            if len(self._waiting.get(n, ())) >= self.max_batch or self.max_wait <= 0.0:
-                self._dispatch(n)
-            elif n not in self._timers:
-                self._timers[n] = loop.call_later(self.max_wait, self._dispatch, n)
+        if self._runner is None:
+            self._runner = loop.create_task(self._run())
         try:
             return list(await asyncio.gather(*futures))
         finally:
@@ -155,74 +152,65 @@ class MicroBatcher:
 
     # -- dispatch --------------------------------------------------------
 
-    def _dispatch(self, n: int) -> None:
-        """Close the window for width ``n`` and start its batch task."""
-        timer = self._timers.pop(n, None)
-        if timer is not None:
-            timer.cancel()
-        slots = self._waiting.pop(n, None)
-        if not slots:
-            return
-        self.metrics.gauge("serve.queue_depth").set(self.queued)
-        task = asyncio.get_running_loop().create_task(self._run_batches(slots))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+    async def _run(self) -> None:
+        """Hand the engine thread queued chunks until the queue is empty."""
+        try:
+            while self._queue:
+                count = min(self.max_batch, len(self._queue))
+                chunk = [self._queue.popleft() for _ in range(count)]
+                self.metrics.gauge("serve.queue_depth").set(self.queued)
+                await self._run_chunk(chunk)
+        finally:
+            self._runner = None
 
-    async def _run_batches(self, slots: List[_Slot]) -> None:
-        loop = asyncio.get_running_loop()
-        for start in range(0, len(slots), self.max_batch):
-            chunk = slots[start : start + self.max_batch]
-            tables = [slot.table for slot in chunk]
-            self.metrics.counter("serve.batcher.batches").inc()
-            self.metrics.counter("serve.batcher.tables").inc(len(chunk))
-            self.metrics.histogram(
-                "serve.batch_fill", edges=BATCH_FILL_BUCKETS
-            ).observe(len(chunk))
-            # Root span: it stays open across the executor await, where
-            # stack-nested spans would tangle with concurrent requests.
-            batch_span = self.tracer.span(
-                "serve.batch", root=True, n=tables[0].n, fill=len(chunk)
-            )
-            if batch_span.recording:
+    async def _run_chunk(self, chunk: List[_Slot]) -> None:
+        tables = [slot.table for slot in chunk]
+        self.metrics.counter("serve.batcher.batches").inc()
+        self.metrics.counter("serve.batcher.tables").inc(len(chunk))
+        self.metrics.histogram(
+            "serve.batch_fill", edges=BATCH_FILL_BUCKETS
+        ).observe(len(chunk))
+        # Root span: it stays open across the executor await, where
+        # stack-nested spans would tangle with concurrent requests.
+        batch_span = self.tracer.span("serve.batch", root=True, fill=len(chunk))
+        if batch_span.recording:
+            for slot in chunk:
+                sp = slot.span
+                if sp is not None and sp.recording:
+                    batch_span.add_link(sp.span_id, sp.trace_id)
+        with batch_span:
+            t0 = time.perf_counter()
+            try:
+                result = await asyncio.get_running_loop().run_in_executor(
+                    self.executor, self.engine.classify, tables
+                )
+            except Exception as exc:  # engine failure fails the chunk, not the server
                 for slot in chunk:
-                    sp = slot.span
-                    if sp is not None and sp.recording:
-                        batch_span.add_link(sp.span_id, sp.trace_id)
-            with batch_span:
-                t0 = time.perf_counter()
-                try:
-                    result = await loop.run_in_executor(
-                        self.executor, self.engine.classify, tables
-                    )
-                except Exception as exc:  # engine failure fails the chunk, not the server
-                    for slot in chunk:
-                        if not slot.future.done():
-                            slot.future.set_exception(exc)
-                    continue
-            self.metrics.counter("serve.batcher.classify_seconds").inc(
-                time.perf_counter() - t0
-            )
-            keys: Dict[int, "ClassKey"] = {}
-            for key, idxs in result.members.items():
-                for i in idxs:
-                    keys[i] = key
-            for i, slot in enumerate(chunk):
-                if not slot.future.done():
-                    slot.future.set_result(keys[i])
+                    if not slot.future.done():
+                        slot.future.set_exception(exc)
+                return
+        self.metrics.counter("serve.batcher.classify_seconds").inc(
+            time.perf_counter() - t0
+        )
+        keys: Dict[int, "ClassKey"] = {}
+        for key, idxs in result.members.items():
+            for i in idxs:
+                keys[i] = key
+        for i, slot in enumerate(chunk):
+            if not slot.future.done():
+                slot.future.set_result(keys[i])
 
     # -- lifecycle -------------------------------------------------------
 
     async def drain(self) -> None:
-        """Dispatch every parked table now and wait for all batches.
+        """Wait for the runner to empty the queue.
 
-        The shutdown half of the window: after ``drain`` returns, every
+        The shutdown half of the queue: after ``drain`` returns, every
         admitted table's future is resolved (with a key or an error)
-        and no batch task is running.
+        and no batch is running.
         """
-        for n in list(self._waiting):
-            self._dispatch(n)
-        while self._tasks:
-            await asyncio.gather(*list(self._tasks), return_exceptions=True)
+        while self._runner is not None:
+            await asyncio.wait([self._runner])
 
     def close(self) -> None:
         """Reject further submits and release the engine thread."""

@@ -2,7 +2,7 @@
 
 Deliberately boring: one socket, one in-flight request at a time, plain
 ``dict`` in / ``dict`` out.  The concurrency in the serving story lives
-on the server side (many clients, one micro-batching window), so the
+on the server side (many clients, one serving queue), so the
 client stays a thin correctness-first wrapper — the shape the
 ``grm-match client`` CLI verb, the test suite, and the load harness
 (``benchmarks/bench_serve.py``, which runs many of these on worker

@@ -41,9 +41,9 @@ Responses always use hex strings.
 Any request may additionally carry a ``trace_id`` — an opaque string
 (at most ``MAX_TRACE_ID_CHARS`` characters) naming the caller's trace
 context.  The server stamps it on the request's span and on every span
-causally linked to the request (the micro-batch span links back to all
+causally linked to the request (the batch span links back to all
 coalesced requests), so one distributed trace id is followable from a
-client, through the batch window, to the engine call that served it.
+client, through the serving queue, to the engine call that served it.
 """
 
 from __future__ import annotations
@@ -161,6 +161,8 @@ def decode_request(line: bytes) -> Dict[str, Any]:
             ERR_BAD_REQUEST,
             'integer literal too long to parse; send bits as a "0x..." hex string',
         ) from None
+    except RecursionError:
+        raise ProtocolError(ERR_BAD_REQUEST, "JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise ProtocolError(ERR_BAD_REQUEST, "request must be a JSON object")
     op = obj.get("op")

@@ -9,8 +9,10 @@ anything else is an NDJSON session).
 
 Request lifecycle::
 
-    read line -> decode/validate -> micro-batch window -> one
+    read line -> decode/validate -> serving queue -> one
     kernel-batched classify() on the engine thread -> reply
+
+``lookup`` skips the queue: it reads the store on the engine thread.
 
 Load-shedding is explicit at two layers: a request line longer than
 ``max_line_bytes`` is answered ``payload_too_large`` and the connection
@@ -55,7 +57,7 @@ import asyncio
 import signal
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
 
 from repro.core.matcher import tier_differentiator
@@ -105,10 +107,7 @@ class ServeConfig:
     """0 binds an ephemeral port (read it back from ``MatchServer.port``)."""
 
     max_batch: int = 128
-    """Tables per engine batch; a full window dispatches immediately."""
-
-    max_wait: float = 0.002
-    """Seconds a table may park waiting for the window to fill."""
+    """Most tables per engine call; 1 turns coalescing off."""
 
     max_pending: int = 1024
     """Bound on admitted-but-unresolved tables (backpressure threshold)."""
@@ -121,10 +120,6 @@ class ServeConfig:
 
     compact_every: int = 0
     """Compact the store after this many flushing cycles (0 = never)."""
-
-    batching: bool = True
-    """False forces ``max_batch=1, max_wait=0`` (the load harness's
-    coalescing-off arm); everything else stays identical."""
 
     flight_dir: Optional[str] = None
     """Directory for automatic flight-recorder dumps.  ``None`` disables
@@ -146,10 +141,7 @@ class MatchServer:
         config: Optional[ServeConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        config = config or ServeConfig()
-        if not config.batching:
-            config = replace(config, max_batch=1, max_wait=0.0)
-        self.config = config
+        self.config = config = config or ServeConfig()
         if engine is None:
             engine = ClassificationEngine(store=store, auto_flush=False)
         elif store is not None and engine.store is None:
@@ -172,7 +164,6 @@ class MatchServer:
         self.batcher = MicroBatcher(
             engine,
             max_batch=self.config.max_batch,
-            max_wait=self.config.max_wait,
             max_pending=self.config.max_pending,
             metrics=self.metrics,
             tracer=self.tracer,
@@ -708,7 +699,6 @@ class MatchServer:
             },
             "batching": {
                 "max_batch": self.config.max_batch,
-                "max_wait": self.config.max_wait,
                 "batches": batches,
                 "tables": tables,
                 "mean_fill": (tables / batches) if batches else 0.0,

@@ -1,9 +1,11 @@
-"""Serving-layer tests: protocol, micro-batching, backpressure, drain.
+"""Serving-layer tests: protocol, coalescing, backpressure, drain.
 
 Each test boots a real :class:`MatchServer` on an ephemeral port via
 :class:`ServerThread` and talks to it over actual sockets — the
 coalescing, overload, and shutdown claims are asserted against the
-server's own obs counters, not against mocks.
+server's own obs counters, not against mocks.  Tests that need requests
+parked in the queue hold the engine thread inside its first
+``classify`` call (:func:`plug_engine`) rather than relying on timing.
 """
 
 from __future__ import annotations
@@ -13,14 +15,16 @@ import random
 import socket
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.boolfunc.transform import NpnTransform
 from repro.boolfunc.truthtable import TruthTable
+from repro.cli import main as cli_main
 from repro.core.matcher import match_with_stats
-from repro.engine import ClassificationEngine
+from repro.engine import ClassificationEngine, store_lookup
 from repro.serve import (
     ERR_BAD_REQUEST,
     ERR_INTERNAL,
@@ -52,6 +56,46 @@ def raw_roundtrip(port: int, payload: bytes) -> dict:
         sock.sendall(payload)
         reader = sock.makefile("rb")
         return json.loads(reader.readline())
+
+
+def classify_line(f: TruthTable, **extra) -> bytes:
+    return encode_line(dict(extra, op="classify", n=f.n, bits=f"0x{f.bits:x}"))
+
+
+def plug_engine(server: MatchServer, monkeypatch, fail_call: int = 0):
+    """Hold the engine thread inside its first ``classify`` call.
+
+    Returns ``(calls, entered, release)``: ``calls`` records each call
+    as ``(sorted widths, size)``; ``entered`` is set once the first
+    call is running, which then waits for ``release``.  Call number
+    ``fail_call`` (1-based; 0 = none) raises instead of classifying.
+    """
+    real_classify = server.engine.classify
+    calls = []
+    entered, release = threading.Event(), threading.Event()
+
+    def gated_classify(tables):
+        calls.append((sorted({t.n for t in tables}), len(tables)))
+        if len(calls) == 1:
+            entered.set()
+            release.wait(30)
+        if len(calls) == fail_call:
+            raise RuntimeError("planted engine failure")
+        return real_classify(tables)
+
+    monkeypatch.setattr(server.engine, "classify", gated_classify)
+    return calls, entered, release
+
+
+def wait_pending(port: int, count: int) -> None:
+    """Poll ``stats`` (served on the event loop) until ``count`` tables
+    are admitted."""
+    with MatchClient(port=port) as probe:
+        for _ in range(500):
+            if probe.stats()["pending"] >= count:
+                return
+            time.sleep(0.01)
+    pytest.fail(f"fewer than {count} tables were ever admitted")
 
 
 # ----------------------------------------------------------------------
@@ -89,6 +133,13 @@ class TestProtocol:
     def test_decode_request_rejects_non_object(self):
         with pytest.raises(ProtocolError):
             decode_request(b"[1, 2, 3]\n")
+
+    def test_decode_request_rejects_deep_nesting(self):
+        # json.loads raises RecursionError here, not a ValueError.
+        with pytest.raises(ProtocolError) as exc:
+            decode_request(b"[" * 200_000 + b"\n")
+        assert exc.value.code == ERR_BAD_REQUEST
+        assert "nested" in exc.value.detail
 
 
 # ----------------------------------------------------------------------
@@ -226,6 +277,23 @@ class TestRejection:
         assert counters["serve.responses{code=bad_request}"] == 1
         assert counters.get("serve.responses{code=internal}", 0) == 0
 
+    def test_deeply_nested_json_answers_bad_request(self):
+        # 200,000 brackets fit well under max_line_bytes but exhaust
+        # json.loads's recursion limit.
+        with serve(ServeConfig()) as st:
+            with socket.create_connection(("127.0.0.1", st.port), timeout=10) as sock:
+                reader = sock.makefile("rb")
+                sock.sendall(b"[" * 200_000 + b"\n")
+                bad = json.loads(reader.readline())
+                assert bad["ok"] is False
+                assert bad["error"] == ERR_BAD_REQUEST
+                sock.sendall(encode_line({"op": "ping", "id": 2}))
+                assert json.loads(reader.readline())["ok"]
+                sock.sendall(encode_line({"op": "stats"}))
+                counters = json.loads(reader.readline())["result"]["counters"]
+        assert counters["serve.responses{code=bad_request}"] == 1
+        assert counters.get("serve.responses{code=internal}", 0) == 0
+
     def test_error_reply_leaves_connection_usable(self, rng):
         # A rejected op (store-less lookup) answers with an error and the
         # same connection keeps serving — errors never kill the session.
@@ -244,53 +312,68 @@ class TestRejection:
 # ----------------------------------------------------------------------
 
 class TestCoalescing:
-    def test_concurrent_requests_share_batches(self, rng):
-        tables = [TruthTable.random(4, rng) for _ in range(12)]
-        config = ServeConfig(max_batch=64, max_wait=0.25)
-        with serve(config) as st:
-            results = {}
-            barrier = threading.Barrier(len(tables))
+    def test_concurrent_requests_share_batches(self, rng, monkeypatch):
+        # The engine thread is held in the plug's call while 12 requests
+        # of two widths queue; on release they leave as one batch.
+        plug = TruthTable.random(4, rng)
+        tables = [TruthTable.random(3 + i % 2, rng) for i in range(12)]
+        server = MatchServer(config=ServeConfig(max_batch=64))
+        calls, entered, release = plug_engine(server, monkeypatch)
+        results = {}
+        with ServerThread(server) as st:
 
             def worker(i: int, f: TruthTable) -> None:
                 with MatchClient(port=st.port) as client:
-                    barrier.wait()
                     results[i] = client.classify(f)
 
-            threads = [
-                threading.Thread(target=worker, args=(i, f))
-                for i, f in enumerate(tables)
-            ]
+            threads = [threading.Thread(target=worker, args=(0, plug))]
+            threads[0].start()
+            try:
+                assert entered.wait(10), "the plug never reached the engine"
+                for i, f in enumerate(tables, start=1):
+                    threads.append(threading.Thread(target=worker, args=(i, f)))
+                    threads[-1].start()
+                wait_pending(st.port, 1 + len(tables))
+            finally:
+                release.set()
             for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+                t.join(10)
+            assert not any(t.is_alive() for t in threads)
             with MatchClient(port=st.port) as client:
                 stats = client.stats()
-            batching = stats["batching"]
-            assert batching["tables"] == len(tables)
-            # 12 concurrent submissions within one 250ms window must
-            # coalesce: strictly fewer engine batches than tables.
-            assert batching["batches"] < len(tables)
-            assert batching["mean_fill"] > 1.0
-            # and the answers agree with a direct engine run
-            direct = ClassificationEngine().classify(tables)
-            for key, idxs in direct.members.items():
-                for i in idxs:
-                    assert results[i]["class"] == f"0x{key.key:x}"
+        assert calls == [([4], 1), ([3, 4], 12)]
+        assert stats["batching"]["batches"] == 2
+        assert stats["batching"]["tables"] == 1 + len(tables)
+        direct = ClassificationEngine().classify([plug] + tables)
+        for key, idxs in direct.members.items():
+            for i in idxs:
+                assert results[i]["class"] == f"0x{key.key:x}"
 
     def test_batching_off_still_correct(self, rng):
         tables = [TruthTable.random(4, rng) for _ in range(6)]
-        with serve(ServeConfig(batching=False)) as st:
+        with serve(ServeConfig(max_batch=1)) as st:
             with MatchClient(port=st.port) as client:
                 got = [client.classify(f) for f in tables]
                 stats = client.stats()
-        # one engine batch per table: the same code path, window size 1
+        # one engine batch per table: the same code path, batch size 1
         assert stats["batching"]["batches"] == len(tables)
         assert stats["batching"]["mean_fill"] == 1.0
         direct = ClassificationEngine().classify(tables)
         for key, idxs in direct.members.items():
             for i in idxs:
                 assert got[i]["class"] == f"0x{key.key:x}"
+
+    def test_retired_batching_options_are_rejected(self, capsys):
+        # Batch size follows load: no window or switch configures it.
+        with pytest.raises(TypeError):
+            ServeConfig(max_wait=0.002)
+        with pytest.raises(TypeError):
+            ServeConfig(batching=False)
+        for flag in (["--max-wait-ms", "2"], ["--no-batching"]):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(["serve", "--port", "0"] + flag)
+            assert exc.value.code == 2, flag
+            assert flag[0] in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -301,48 +384,50 @@ class TestEngineFailure:
     def test_failed_batch_answers_internal_and_server_survives(
         self, rng, tmp_path, monkeypatch
     ):
-        # Four connections fill one max_batch=4 window; the engine raises
-        # on that first batch only.  Every request in it must get
-        # `internal`, each connection must then be served normally, and
-        # the failure must be counted and dumped from the flight ring.
+        # A plug request holds the engine thread while four connections
+        # queue one max_batch=4 round; the engine raises on that round's
+        # call only.  Every request in it must get `internal`, each
+        # connection must then be served normally, and the failure must
+        # be counted and dumped from the flight ring.  The slow-request
+        # trigger is off: the parked round is slow by design, and its
+        # dump would rate-limit the `internal` one.
         width = 4
-        config = ServeConfig(max_batch=width, max_wait=2.0, flight_dir=str(tmp_path))
+        config = ServeConfig(
+            max_batch=width, flight_dir=str(tmp_path), slow_request_ms=0
+        )
         server = MatchServer(config=config)
-        real_classify = server.engine.classify
-        calls = []
-
-        def flaky_classify(tables):
-            calls.append(len(tables))
-            if len(calls) == 1:
-                raise RuntimeError("planted engine failure")
-            return real_classify(tables)
-
-        monkeypatch.setattr(server.engine, "classify", flaky_classify)
+        calls, entered, release = plug_engine(server, monkeypatch, fail_call=2)
         tables = [TruthTable.random(4, rng) for _ in range(2 * width)]
         direct = ClassificationEngine().classify(tables)
 
         def send_round(socks, readers, round_tables):
             for sock, f in zip(socks, round_tables):
-                sock.sendall(
-                    encode_line({"op": "classify", "n": 4, "bits": f"0x{f.bits:x}"})
-                )
+                sock.sendall(classify_line(f))
             return [json.loads(reader.readline()) for reader in readers]
 
         with ServerThread(server) as st:
             socks = [
                 socket.create_connection(("127.0.0.1", st.port), timeout=10)
-                for _ in range(width)
+                for _ in range(width + 1)
             ]
             readers = [sock.makefile("rb") for sock in socks]
             try:
-                failed = send_round(socks, readers, tables[:width])
-                served = send_round(socks, readers, tables[width:])
+                socks[0].sendall(classify_line(TruthTable.random(4, rng)))
+                assert entered.wait(10), "the plug never reached the engine"
+                for sock, f in zip(socks[1:], tables[:width]):
+                    sock.sendall(classify_line(f))
+                wait_pending(st.port, 1 + width)
+                release.set()
+                assert json.loads(readers[0].readline())["ok"]
+                failed = [json.loads(reader.readline()) for reader in readers[1:]]
+                served = send_round(socks[1:], readers[1:], tables[width:])
             finally:
+                release.set()
                 for sock in socks:
                     sock.close()
             with MatchClient(port=st.port) as client:
                 stats = client.stats()
-        assert calls[0] == width  # the whole window reached the engine
+        assert calls[1] == ([4], width)  # the whole round reached the failing call
         for reply in failed:
             assert reply["ok"] is False
             assert reply["error"] == ERR_INTERNAL
@@ -361,46 +446,69 @@ class TestEngineFailure:
 # ----------------------------------------------------------------------
 
 class TestBackpressure:
-    def test_overloaded_reply_under_saturation(self, rng):
-        # A long window and a tiny pending bound: the first two requests
-        # park in the window, the third must be shed with `overloaded`.
-        config = ServeConfig(max_batch=64, max_wait=1.0, max_pending=2)
-        with serve(config) as st:
+    def test_overloaded_reply_under_saturation(self, rng, monkeypatch):
+        # A tiny pending bound: A is in flight behind the plugged engine
+        # and B is queued, so the third request must be shed with
+        # `overloaded`.
+        server = MatchServer(config=ServeConfig(max_batch=64, max_pending=2))
+        _calls, entered, release = plug_engine(server, monkeypatch)
+        with ServerThread(server) as st:
             parked = [
                 MatchClient(port=st.port).connect(),
                 MatchClient(port=st.port).connect(),
             ]
             try:
-                for i, client in enumerate(parked):
-                    client._sock.sendall(
-                        encode_line(
-                            {
-                                "op": "classify",
-                                "n": 4,
-                                "bits": TruthTable.random(4, rng).bits,
-                                "id": i,
-                            }
-                        )
-                    )
-                # wait until both tables are admitted into the window
+                parked[0]._sock.sendall(classify_line(TruthTable.random(4, rng), id=0))
+                assert entered.wait(10), "A never reached the engine"
+                parked[1]._sock.sendall(classify_line(TruthTable.random(4, rng), id=1))
+                wait_pending(st.port, 2)
                 with MatchClient(port=st.port) as probe:
-                    for _ in range(100):
-                        if probe.stats()["pending"] >= 2:
-                            break
-                    else:
-                        pytest.fail("requests never reached the window")
                     with pytest.raises(ServerError) as exc:
                         probe.classify(TruthTable.random(4, rng))
                     assert exc.value.code == ERR_OVERLOADED
-                    # the parked requests still complete normally
+                    release.set()
+                    # the admitted requests still complete normally
                     for client in parked:
                         response = json.loads(client._recv_file.readline())
                         assert response["ok"], response
                     counters = probe.stats()["counters"]
                     assert counters["serve.overloaded"] >= 1
             finally:
+                release.set()
                 for client in parked:
                     client.close()
+
+
+# ----------------------------------------------------------------------
+# Background write-back
+# ----------------------------------------------------------------------
+
+class TestWriteBack:
+    def test_background_loop_flushes_and_compacts(self, rng, tmp_path):
+        path = tmp_path / "store"
+        store = ClassStore(path, create=True)
+        tables = [TruthTable.random(4, rng) for _ in range(8)]
+        config = ServeConfig(flush_interval=0.05, compact_every=1)
+        with serve(config, store=store) as st, MatchClient(port=st.port) as client:
+            served = [client.classify(f) for f in tables]
+            # compactions == flushes: no compaction is still running
+            for _ in range(500):
+                written = client.stats()["store"]
+                if written["dirty"] == 0 and written["compactions"] >= written["flushes"] >= 1:
+                    break
+                time.sleep(0.01)
+            else:
+                pytest.fail(f"the write-back loop never flushed and compacted: {written}")
+            # read back while the server still runs: the loop, not the
+            # shutdown flush, must have written every class
+            reopened = ClassStore(path, create=False)
+            assert reopened.verify() > 0
+            for f, got in zip(tables, served):
+                resolved = store_lookup(reopened, f)
+                assert resolved is not None, "the write-back loop lost a class"
+                assert f"0x{resolved[0]:x}" == got["class"]
+            reopened.close()
+        store.close()
 
 
 # ----------------------------------------------------------------------
@@ -423,8 +531,6 @@ class TestShutdown:
         store.close()
         reopened = ClassStore(path)
         assert reopened.verify() > 0  # checksums + witnesses intact
-        from repro.engine import store_lookup
-
         for f, got in zip(tables, served):
             resolved = store_lookup(reopened, f)
             assert resolved is not None, "shutdown flush lost a class"

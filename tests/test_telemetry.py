@@ -292,9 +292,9 @@ class TestTraceContext:
         assert "serve.request" in names and "serve.batch" in names
 
     def test_concurrent_spans_do_not_nest(self):
-        """Root spans never adopt each other across the batch window."""
+        """Root spans never adopt each other across the serving queue."""
         rng = random.Random(13)
-        server = MatchServer(config=ServeConfig(port=0, max_wait=0.01))
+        server = MatchServer(config=ServeConfig(port=0))
         with ServerThread(server) as st:
             clients = [MatchClient(port=st.port).connect() for _ in range(4)]
             try:
