@@ -1,19 +1,19 @@
 """Cut-based technology mapping with npn Boolean matching.
 
 The full application loop the paper targets: enumerate k-feasible cuts
-over the subject AIG, evaluate every cut's local function, decide by
-npn matching which library cells can implement it, and pick a cover by
+over the subject AIG with each cut's local function, decide by npn
+matching which library cells can implement it, and pick a cover by
 dynamic programming on (duplication-ignoring) area.
 
-The mapper runs the two-phase whole-netlist flow.  Phase one
-(:func:`repro.aig.cuts.catalog_cut_functions`) evaluates every
-non-trivial cut once and dedups the functions by exact ``(n, bits)``
-identity, grouped by support width.  Phase two pushes each width group
-through the :class:`~repro.engine.ClassificationEngine` (kernel-batched
-pre-keys, membership probes, optional persistent store
-warm-start/write-back) and binds each resulting npn class against the
-cell index by witness replay
-(:meth:`~repro.library.techmap.CellLibrary.bind_with_key`) — one
+The mapper runs the two-phase whole-netlist flow.  Phase one composes
+every cut's truth table as :func:`repro.aig.cuts.enumerate_cuts` forms
+the cut, and :func:`repro.aig.cuts.catalog_cut_functions` dedups the
+non-trivial cuts' functions by exact ``(n, bits)`` identity, grouped by
+support width.  Phase two pushes each width group through the
+:class:`~repro.engine.ClassificationEngine` (kernel-batched pre-keys,
+membership probes, optional persistent store warm-start/write-back)
+and binds each resulting npn class against the cell index by witness
+replay (:meth:`~repro.library.techmap.CellLibrary.bind_with_key`) — one
 class-key resolution per *class*, one bind per distinct function, and
 no matcher run at all.  Each bind is a pure function of the cut
 function and the library, so the cover does not depend on store
@@ -297,28 +297,30 @@ class AigMapper:
         accounts: Dict[ClassKey, ClassAccount] = {}
         class_of: Dict[Tuple[int, int], ClassKey] = {}
         self._bind_catalog(catalog, stats, bindings, table_of, accounts, class_of)
+        # Cell area plus input/output inverters, once per bound function.
+        cell_cost: Dict[Tuple[int, int], float] = {
+            key: binding.cell.area + INVERTER_AREA * binding.inverter_count()
+            for key, binding in bindings.items()
+            if binding is not None
+        }
 
+        # Every leaf is a primary input or an earlier AND node, and a
+        # node without a cover ends the mapping, so every leaf has a cost.
         best_cost: Dict[int, float] = {FALSE: 0.0}
-        best_choice: Dict[int, Tuple[Cut, Binding, TruthTable]] = {}
+        best_choice: Dict[int, Tuple[Cut, Tuple[int, int]]] = {}
         for idx in range(1, aig.n_inputs + 1):
             best_cost[idx] = 0.0
 
         for node in aig.and_nodes():
             node_best: Optional[float] = None
             for cut, key in catalog.node_cuts[node]:
-                binding = bindings.get(key)
-                if binding is None:
+                cost = cell_cost.get(key)
+                if cost is None:
                     continue
-                if any(leaf not in best_cost for leaf in cut.leaves):
-                    continue
-                cost = (
-                    binding.cell.area
-                    + INVERTER_AREA * binding.inverter_count()
-                    + sum(best_cost[leaf] for leaf in cut.leaves)
-                )
+                cost += sum(best_cost[leaf] for leaf in cut.leaves)
                 if node_best is None or cost < node_best:
                     node_best = cost
-                    best_choice[node] = (cut, binding, table_of[key])
+                    best_choice[node] = (cut, key)
             if node_best is None:
                 return None
             best_cost[node] = node_best
@@ -333,11 +335,11 @@ class AigMapper:
             if node in seen or not aig.is_and(node):
                 continue
             seen.add(node)
-            cut, binding, function = best_choice[node]
-            chosen[node] = MappedNode(node, cut, binding, function)
-            cell_area = binding.cell.area + INVERTER_AREA * binding.inverter_count()
+            cut, key = best_choice[node]
+            chosen[node] = MappedNode(node, cut, bindings[key], table_of[key])
+            cell_area = cell_cost[key]
             area += cell_area
-            account = accounts[class_of[(function.n, function.bits)]]
+            account = accounts[class_of[key]]
             account.instances += 1
             account.area += cell_area
             stack.extend(cut.leaves)
@@ -374,10 +376,7 @@ class AigMapper:
         through the indexed witness-replay path.  Quarantined classes
         (no canonical key) fall back to the library's per-function bind.
         """
-        occurrences: Dict[Tuple[int, int], int] = {}
-        for entries in catalog.node_cuts.values():
-            for _, key in entries:
-                occurrences[key] = occurrences.get(key, 0) + 1
+        occurrences = catalog.occurrences
         t_start = time.perf_counter()
         engine_seconds = 0.0
         for width in sorted(catalog.distinct_by_width):

@@ -36,7 +36,7 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.benchcircuits import build_circuit, circuit_names, get_spec, parse_blif, parse_pla
 from repro.benchcircuits.generators import BenchmarkCircuit, OutputFunction
@@ -761,6 +761,21 @@ def cmd_bench_info(args: argparse.Namespace) -> int:
 # Entry point
 # ----------------------------------------------------------------------
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grm-match",
@@ -872,9 +887,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("file")
-    p.add_argument("--cut-size", type=int, default=4)
     p.add_argument(
-        "--max-cuts", type=int, default=16, help="pruned cuts kept per node"
+        "--cut-size", type=_int_at_least(2), default=4, help="leaves per cut (>= 2)"
+    )
+    p.add_argument(
+        "--max-cuts",
+        type=_int_at_least(1),
+        default=16,
+        help="pruned cuts kept per node (>= 1)",
     )
     p.add_argument(
         "--store",

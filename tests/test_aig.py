@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from repro.aig import FALSE, TRUE, Aig, AigMapper, Cut, enumerate_cuts, lit_not, lit_var
+from repro.aig import FALSE, TRUE, Aig, AigMapper, enumerate_cuts, lit_not, lit_var
 from repro.aig.graph import lit_compl
 from repro.benchcircuits import build_circuit
 from repro.benchcircuits.netlist import Netlist
+from repro.benchcircuits.suite import EXTRA_CIRCUITS, TABLE1_CIRCUITS
 from repro.boolfunc import ops
 from repro.boolfunc.truthtable import TruthTable
 from repro.library import CellLibrary, LibraryCell
@@ -120,14 +121,14 @@ def test_cut_enumeration_small():
     ab = aig.and_(a, b)
     abc = aig.and_(ab, c)
     cuts = enumerate_cuts(aig, k=2)
-    assert Cut((1, 2)) in cuts[lit_var(ab)]
-    top = cuts[lit_var(abc)]
-    assert Cut(tuple(sorted((lit_var(ab), 3)))) in top
-    assert Cut((lit_var(abc),)) in top  # trivial cut present
+    assert (1, 2) in [cut.leaves for cut in cuts[lit_var(ab)]]
+    top = [cut.leaves for cut in cuts[lit_var(abc)]]
+    assert tuple(sorted((lit_var(ab), 3))) in top
+    assert top[-1] == (lit_var(abc),)  # trivial cut present, and last
     # k=2 excludes the 3-leaf cut.
-    assert all(cut.size() <= 2 for cut in top)
+    assert all(cut.size() <= 2 for cut in cuts[lit_var(abc)])
     wide = enumerate_cuts(aig, k=3)
-    assert Cut((1, 2, 3)) in wide[lit_var(abc)]
+    assert (1, 2, 3) in [cut.leaves for cut in wide[lit_var(abc)]]
 
 
 def test_cut_dominance_pruning():
@@ -150,6 +151,76 @@ def test_cut_function_validates_coverage():
 def test_enumerate_cuts_rejects_tiny_k():
     with pytest.raises(ValueError):
         enumerate_cuts(Aig(1), k=1)
+
+
+def test_enumerate_cuts_rejects_zero_max_cuts():
+    with pytest.raises(ValueError, match="max_cuts_per_node"):
+        enumerate_cuts(Aig(1), max_cuts_per_node=0)
+
+
+# ----------------------------------------------------------------------
+# Composed cut tables
+# ----------------------------------------------------------------------
+
+def _assert_tables_equal_rewalk(aig, k=4, max_cuts=16):
+    """Every non-trivial cut's composed table equals the cone re-walk."""
+    cuts = enumerate_cuts(aig, k, max_cuts)
+    for node in aig.and_nodes():
+        assert cuts[node][-1].leaves == (node,)
+        for cut in cuts[node][:-1]:
+            want = aig.cut_function(node, cut.leaves).bits
+            assert cut.table == want, (node, cut.leaves, k, max_cuts)
+
+
+def _random_aig(rng, n_inputs, n_ands):
+    """``n_ands`` random ANDs of earlier literals, with random edge phases."""
+    aig = Aig(n_inputs)
+    literals = [aig.input_literal(i) for i in range(n_inputs)]
+    for _ in range(n_ands):
+        a, b = rng.sample(literals, 2)
+        node = aig.and_(a ^ rng.getrandbits(1), b ^ rng.getrandbits(1))
+        if aig.is_and(lit_var(node)):
+            literals.append(node & ~1)
+    return aig
+
+
+@pytest.mark.parametrize("max_cuts", [1, 2, 3, 16])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_composed_cut_tables_equal_rewalk_on_random_aigs(k, max_cuts):
+    rng = random.Random(1000 * k + max_cuts)
+    for _ in range(200):
+        aig = _random_aig(rng, rng.randint(3, 6), rng.randint(1, 12))
+        _assert_tables_equal_rewalk(aig, k, max_cuts)
+
+
+def test_composed_cut_tables_stay_exact_above_a_truncated_list():
+    # Node 16's cut (2, 3, 5, 7) survives only because node 15's list,
+    # cut off at five cuts, lost (2, 3, 7), the cut that dominates it.
+    # Leaf 5 lies inside the cone that node 13's cut (2, 3, 7) spans, so
+    # a table composed from the fanin cuts would expand that leaf while
+    # the re-walk keeps it a free variable.
+    aig = Aig(2)
+    for a, b in [
+        (2, 4), (5, 7), (4, 8), (6, 9), (3, 12), (11, 14), (7, 17),
+        (8, 11), (15, 19), (21, 23), (8, 24), (14, 17), (18, 29), (26, 30),
+    ]:
+        aig.and_(a, b)
+    cuts = enumerate_cuts(aig, k=4, max_cuts_per_node=5)
+    assert (2, 3, 5, 7) in [cut.leaves for cut in cuts[16]]
+    _assert_tables_equal_rewalk(aig, k=4, max_cuts=5)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["rd73", "z4ml", "con1"]
+    + [
+        pytest.param(spec.name, marks=pytest.mark.slow)
+        for spec in TABLE1_CIRCUITS + EXTRA_CIRCUITS
+        if spec.name not in ("rd73", "z4ml", "con1")
+    ],
+)
+def test_composed_cut_tables_equal_rewalk_on_circuits(name):
+    _assert_tables_equal_rewalk(Aig.from_netlist(build_circuit(name).to_netlist()))
 
 
 # ----------------------------------------------------------------------

@@ -118,6 +118,19 @@ def test_map_blif_file_keeps_structure(tmp_path, capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("flag, value", [("--cut-size", "1"), ("--max-cuts", "0")])
+def test_map_rejects_out_of_range_cut_limits(flag, value, capsys):
+    # A usage error, not a traceback, and never a silent remap at
+    # another limit.
+    with pytest.raises(SystemExit) as exc:
+        main(["map", "bench:rd73", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: must be at least" in captured.err
+    assert "Traceback" not in captured.err
+    assert "area" not in captured.out
+
+
 def test_table1_subset(capsys):
     code, out = run_cli(capsys, "table1", "con1", "z4ml")
     assert code == 0

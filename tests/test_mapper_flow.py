@@ -160,6 +160,9 @@ def test_catalog_dedup_accounting():
     for entries in catalog.node_cuts.values():
         for _, key in entries:
             assert key in catalog.distinct_by_width[key[0]]
+    # Occurrences are counted in the same pass, one count per cut.
+    assert sum(catalog.occurrences.values()) == catalog.cut_functions_evaluated
+    assert len(catalog.occurrences) == catalog.distinct_functions
 
 
 def test_class_accounting_render():
