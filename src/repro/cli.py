@@ -12,7 +12,6 @@ Subcommands::
     lib build STORE            populate a persistent npn class store
     lib query STORE [FILE]     warm-resolve functions against a store
     lib stats STORE            store summary (and integrity verify)
-    lib compact STORE          dedupe superseded store records
     table1 [NAMES...]          run the paper's Table 1 experiment
     bench-info NAME            describe a built-in benchmark circuit
     obs report FILE            render a trace JSONL or metrics snapshot
@@ -427,7 +426,7 @@ def cmd_lib_build(args: argparse.Namespace) -> int:
     store.close()
     st = store.stats()
     print(
-        f"store: {st['records']} records, {st['classes']} classes, "
+        f"store: {st['classes']} classes, "
         f"{st['shards_present']}/{st['num_shards']} shards, {st['bytes']} bytes"
     )
     return 0
@@ -492,7 +491,7 @@ def cmd_lib_stats(args: argparse.Namespace) -> int:
     st = store.stats()
     print(f"store {st['path']}")
     print(
-        f"  {st['records']} records, {st['classes']} classes, "
+        f"  {st['classes']} classes, "
         f"{st['shards_present']}/{st['num_shards']} shards, {st['bytes']} bytes"
     )
     for n, count in st["classes_by_n"].items():
@@ -504,16 +503,6 @@ def cmd_lib_stats(args: argparse.Namespace) -> int:
             print(f"verify: FAILED — {exc}", file=sys.stderr)
             return 1
         print(f"verify: {total} records OK (checksums + witnesses)")
-    return 0
-
-
-def cmd_lib_compact(args: argparse.Namespace) -> int:
-    store = _open_store(args)
-    result = store.compact()
-    print(
-        f"compacted: {result['records_before']} -> {result['records_after']} "
-        f"records ({result['shards_rewritten']} shards rewritten)"
-    )
     return 0
 
 
@@ -674,7 +663,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         max_pending=args.max_pending,
         flush_interval=args.flush_interval,
-        compact_every=args.compact_every,
         flight_dir=args.flight_dir,
         slow_request_ms=args.slow_request_ms,
     )
@@ -695,7 +683,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     asyncio.run(run())
     if store is not None:
-        store.close()
+        try:
+            store.close()
+        except OSError as exc:
+            print(f"grm-match serve: error: store flush failed: {exc}", file=sys.stderr)
+            return 1
     print("grm-match serve: stopped")
     return 0
 
@@ -776,6 +768,17 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """An argparse type: a float greater than zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grm-match",
@@ -823,10 +826,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--cache-size",
-        type=int,
+        type=_int_at_least(1),
         default=1 << 16,
         dest="cache_size",
-        help="canonical-key LRU cache bound",
+        help="canonical-key LRU cache bound (>= 1)",
     )
     p.add_argument(
         "--report",
@@ -926,13 +929,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lib",
-        help="persistent npn class store (build / query / stats / compact)",
+        help="persistent npn class store (build / query / stats)",
         description=(
             "Manage an on-disk sharded NPN class store: populate it from "
             "the cell library, benchmark circuits, or generated functions "
             "(build), resolve functions against it without canonicalizing "
-            "(query), inspect and integrity-check it (stats), and drop "
-            "superseded records (compact)."
+            "(query), and inspect and integrity-check it (stats)."
         ),
     )
     libsub = p.add_subparsers(dest="lib_command", required=True)
@@ -952,7 +954,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument("--n", type=int, default=4, help="variables for --random")
     q.add_argument("--seed", type=int, default=0, help="seed for --random")
-    q.add_argument("--shards", type=int, default=64, help="shard count (new stores)")
+    q.add_argument(
+        "--shards", type=_int_at_least(1), default=64, help="shard count (new stores)"
+    )
     q.add_argument(
         "--no-cells", action="store_true", help="skip indexing the cell library"
     )
@@ -986,10 +990,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="full integrity sweep: checksums, framing, witnesses",
     )
     q.set_defaults(func=cmd_lib_stats)
-
-    q = libsub.add_parser("compact", help="dedupe superseded records")
-    q.add_argument("store", help="store directory")
-    q.set_defaults(func=cmd_lib_compact)
 
     p = sub.add_parser(
         "fuzz",
@@ -1104,28 +1104,26 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="persistent class store directory (warm-start + write-back)",
     )
-    p.add_argument("--shards", type=int, default=64, help="shard count (new stores)")
     p.add_argument(
-        "--max-batch", type=int, default=128, dest="max_batch",
+        "--shards", type=_int_at_least(1), default=64, help="shard count (new stores)"
+    )
+    p.add_argument(
+        "--max-batch", type=_int_at_least(1), default=128, dest="max_batch",
         help="most tables per engine call (1 = no coalescing)",
     )
     p.add_argument(
-        "--max-pending", type=int, default=1024, dest="max_pending",
+        "--max-pending", type=_int_at_least(1), default=1024, dest="max_pending",
         help="admitted-table bound; beyond it requests get 'overloaded'",
     )
     p.add_argument(
-        "--flush-interval", type=float, default=2.0, dest="flush_interval",
-        help="background store write-back period, seconds",
-    )
-    p.add_argument(
-        "--compact-every", type=int, default=0, dest="compact_every",
-        help="compact the store after N flushing cycles (0 = never)",
+        "--flush-interval", type=_positive_float, default=2.0, dest="flush_interval",
+        help="background store write-back period, seconds (> 0)",
     )
     # A daemon sees mostly one-off tables, so a larger bound mostly
     # retains tables that never return.
     p.add_argument(
-        "--cache-size", type=int, default=1 << 12, dest="cache_size",
-        help="canonical-key LRU cache bound",
+        "--cache-size", type=_int_at_least(1), default=1 << 12, dest="cache_size",
+        help="canonical-key LRU cache bound (>= 1)",
     )
     p.add_argument(
         "--flight-dir", default=None, dest="flight_dir",

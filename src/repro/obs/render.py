@@ -338,8 +338,7 @@ def render_top(stats: Mapping[str, Any]) -> str:
     if store:
         lines.append(
             f"store: {store.get('dirty', 0)} dirty, "
-            f"{store.get('flushes', 0)} flushes, "
-            f"{store.get('compactions', 0)} compactions"
+            f"{store.get('flushes', 0)} flushes"
         )
     return "\n".join(lines)
 

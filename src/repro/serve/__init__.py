@@ -17,8 +17,9 @@ and the sharded :class:`~repro.store.ClassStore` into a serving story:
   text exposition), per-request root spans carrying the client's wire
   ``trace_id``, sliding-window rate/latency in the ``stats`` op, an
   always-on flight recorder (slow-request/overloaded/SIGUSR2 dumps),
-  background store write-back and periodic compaction off the request
-  path, and graceful drain-and-flush shutdown on SIGTERM.
+  periodic store write-back on the engine thread (a failed flush is
+  counted and retried), and graceful drain-and-flush shutdown on
+  SIGTERM.
 * :mod:`repro.serve.client` — a small blocking client (used by the
   ``grm-match client`` CLI verb, the tests, and the seeded load
   harness ``benchmarks/bench_serve.py``).

@@ -22,7 +22,7 @@ Ops:
     canonicalization); ``hit`` false when the store cannot resolve it.
 ``stats``
     Server counters: queue depth, batch fill, coalesce ratio, latency
-    histograms, store flush/compaction counts.
+    histograms, store dirty/flush counts.
 ``shutdown``
     Ask the server to drain and exit (the graceful SIGTERM path, but
     reachable over the wire for harnesses).

@@ -20,18 +20,22 @@ closed (the framing is unrecoverable), and a submit that would push the
 batcher past ``max_pending`` tables is answered ``overloaded``
 immediately — queues never grow without bound.
 
-Store write-back is off the hot path: the engine buffers newly
+Store write-back is batched, not per request: the engine buffers newly
 discovered classes in the store (``auto_flush=False``) and a background
-task flushes every ``flush_interval`` seconds — and compacts after
-every ``compact_every`` flushing cycles — on the same single executor
-thread that runs the engine, so disk writes never race classification.
+task flushes every ``flush_interval`` seconds on the single executor
+thread that runs the engine, so disk writes never race classification;
+batches queued meanwhile wait for the flush (one fsync per dirty
+shard).  A failed flush is counted (``serve.store_flush_errors``),
+reported on stderr and retried at the next interval; the records stay
+buffered until one succeeds.
 
 Graceful shutdown (SIGTERM/SIGINT, the ``shutdown`` op, or
 :meth:`MatchServer.shutdown`): stop accepting, answer everything already
 admitted (drain the batcher, let handlers write their replies), flush
 the store, flush observability sinks (:func:`repro.obs.runtime.flush`),
 then close the remaining connections and return from
-:meth:`wait_stopped`.
+:meth:`wait_stopped`.  A failed final flush is reported like any other
+and does not stop the shutdown.
 
 Telemetry: the server owns an always-on serving tracer whose sinks are
 the flight recorder's ring plus a
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 import asyncio
 import signal
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -117,9 +122,6 @@ class ServeConfig:
 
     flush_interval: float = 2.0
     """Background store write-back period, seconds."""
-
-    compact_every: int = 0
-    """Compact the store after this many flushing cycles (0 = never)."""
 
     flight_dir: Optional[str] = None
     """Directory for automatic flight-recorder dumps.  ``None`` disables
@@ -251,14 +253,8 @@ class MatchServer:
                 await self._flush_task
             except asyncio.CancelledError:
                 pass
-        loop = asyncio.get_running_loop()
         if self.store is not None:
-            flushed = await loop.run_in_executor(
-                self.batcher.executor, self.store.flush
-            )
-            if flushed:
-                self.metrics.counter("serve.store_flushes").inc()
-                self.metrics.counter("serve.store_flush_records").inc(flushed)
+            await self._flush_store()
         _obs.flush()  # spans recorded just before SIGTERM reach disk
         for task in list(self._conn_tasks):
             task.cancel()
@@ -271,24 +267,30 @@ class MatchServer:
     # -- background write-back -------------------------------------------
 
     async def _flush_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        flushing_cycles = 0
         while True:
             await asyncio.sleep(self.config.flush_interval)
-            if self.store.dirty_count() == 0:
-                continue
-            flushed = await loop.run_in_executor(
+            if self.store.dirty_count():
+                await self._flush_store()
+
+    async def _flush_store(self) -> None:
+        """One store flush on the engine thread.  A failure is counted
+        and reported, never raised: the records stay dirty for the next
+        flush."""
+        try:
+            flushed = await asyncio.get_running_loop().run_in_executor(
                 self.batcher.executor, self.store.flush
             )
-            if not flushed:
-                continue
+        except Exception as exc:
+            self.metrics.counter("serve.store_flush_errors").inc()
+            print(
+                f"grm-match serve: store flush failed: {type(exc).__name__}: {exc}",
+                file=sys.stderr,
+                flush=True,
+            )
+            return
+        if flushed:
             self.metrics.counter("serve.store_flushes").inc()
             self.metrics.counter("serve.store_flush_records").inc(flushed)
-            flushing_cycles += 1
-            if self.config.compact_every and flushing_cycles >= self.config.compact_every:
-                flushing_cycles = 0
-                await loop.run_in_executor(self.batcher.executor, self.store.compact)
-                self.metrics.counter("serve.store_compactions").inc()
 
     # -- connections -----------------------------------------------------
 
@@ -404,14 +406,16 @@ class MatchServer:
                 writer, error_response(None, ERR_BAD_REQUEST, f"unsupported verb {verb}")
             )
             return
-        try:
-            length = int(headers.get("content-length", ""))
-        except ValueError:
+        length_text = headers.get("content-length", "")
+        if not length_text.isdecimal():
             await self._write_http(
                 writer,
-                error_response(None, ERR_BAD_REQUEST, "Content-Length required"),
+                error_response(
+                    None, ERR_BAD_REQUEST, "a non-negative Content-Length is required"
+                ),
             )
             return
+        length = int(length_text)
         if length > self.config.max_line_bytes:
             await self._write_http(
                 writer,
@@ -715,7 +719,6 @@ class MatchServer:
             payload["store"] = {
                 "dirty": self.store.dirty_count(),
                 "flushes": self.metrics.counter_value("serve.store_flushes"),
-                "compactions": self.metrics.counter_value("serve.store_compactions"),
             }
         return payload
 

@@ -3,7 +3,8 @@
 Public surface:
 
 * :class:`ClassStore` — the on-disk database: coarse-prekey-routed
-  JSONL shards, checksum-verified loads, atomic flushes, compaction;
+  JSONL shards, checksum-verified loads, atomic flushes that write one
+  line per class;
 * :class:`StoreRecord` — one persisted class (canonical bits, witness,
   representative, metadata);
 * :class:`StoreError` / :class:`StoreCorruptionError` — failure modes.

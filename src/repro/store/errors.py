@@ -12,10 +12,10 @@ class StoreCorruptionError(StoreError):
     """A shard failed integrity verification.
 
     Raised — never silently worked around — when a segment is truncated,
-    a record checksum does not match its payload, or the per-shard index
-    disagrees with the segment bytes.  The message always names the
-    offending file (and line, when one record is at fault) so the
-    operator can decide between restoring a backup and re-deriving the
-    shard; returning wrong matches from a corrupt shard is the one
-    failure mode the store must never have.
+    its footer disagrees with its bytes, or a record checksum does not
+    match its payload.  The message always names the offending file (and
+    line, when one record is at fault) so the operator can decide
+    between restoring a backup and re-deriving the shard; returning
+    wrong matches from a corrupt shard is the one failure mode the store
+    must never have.
     """

@@ -3,10 +3,9 @@
 One :class:`StoreRecord` is one durable fact: *this npn class exists*,
 witnessed by a representative function and the transform that
 canonicalizes it.  Records serialize to single JSON lines so shards can
-be appended to, diffed, and inspected with standard tools; every line
-carries a CRC of its own payload so bit flips are caught record-by-
-record even when the shard-level checksum is unavailable (e.g. while
-rebuilding an index).
+be diffed and inspected with standard tools; every line carries a CRC
+of its own payload, so a bit flip is pinned to the record it hit, not
+only to its shard.
 
 Field map (short keys keep segments compact)::
 
@@ -137,8 +136,8 @@ class StoreRecord:
             raise StoreCorruptionError(f"{where}: malformed record fields: {exc}") from exc
 
     def same_fact(self, other: "StoreRecord") -> bool:
-        """True when appending ``other`` over ``self`` would change nothing
-        (used to keep repeated builds from growing segments)."""
+        """True when storing ``other`` over ``self`` would change nothing
+        (so repeated builds leave every shard clean)."""
         return (
             self.key == other.key
             and self.rep_bits == other.rep_bits

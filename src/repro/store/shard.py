@@ -1,19 +1,16 @@
-"""Shard segment I/O: append-only JSONL with paranoid, race-safe loads.
+"""Shard segment I/O: self-checking JSONL with paranoid, race-safe loads.
 
-One shard is a pair of files in the store's ``shards/`` directory::
+One shard is one file in the store's ``shards/`` directory::
 
     shard-00a3.jsonl      the segment: StoreRecord lines + one footer line
-    shard-00a3.idx.json   the index: record/class counts for fast stats
 
 **All integrity metadata lives inside the segment itself**, as a final
 footer line carrying the record count and the CRC-32 of every byte
 before it.  Segments are replaced atomically (staged as a temp file in
 the same directory, fsynced, ``os.replace``d), so a reader always sees
-one internally consistent segment — there is no two-file ordering race
-to reason about.  The index is a derived stats cache: loads never
-consult it, ``stats()`` serves from it, and a stale one (a reader
-catching the instant between segment and index renames) can at worst
-make a *summary* momentarily off by a flush, never a query.
+one internally consistent segment.  Stores written by earlier versions
+may also hold ``shard-XXXX.idx.json`` stats files; nothing reads them,
+and they may be deleted.
 
 What raises :class:`~repro.store.errors.StoreCorruptionError`:
 
@@ -23,13 +20,13 @@ What raises :class:`~repro.store.errors.StoreCorruptionError`:
   records cuts it too),
 * a footer whose CRC or count disagrees with the record bytes (bit
   flips, spliced lines),
-* a record line that fails to parse or fails its own checksum,
-* an unparseable index file (only :meth:`ClassStore.verify` looks).
+* a record line that fails to parse or fails its own checksum.
 
-Superseding: within a segment a later record with the same
-``(n, canon_bits)`` replaces an earlier one.  Appends therefore never
-rewrite history; :func:`compact_records` is the offline dedupe that
-drops shadowed lines and sorts the survivors for deterministic layout.
+Superseding: the store writes a segment whole, with one line per class
+sorted by ``(n, canon_bits)``.  Loads still let a later line with the
+same ``(n, canon_bits)`` replace an earlier one, so a segment from an
+earlier version that carries superseded lines loads the same latest
+records.
 """
 
 from __future__ import annotations
@@ -38,23 +35,18 @@ import json
 import os
 import zlib
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.obs import runtime as _obs
 from repro.obs.profile import scoped_timer
 from repro.store.errors import StoreCorruptionError
 from repro.store.records import StoreRecord
 
-INDEX_VERSION = 1
 FOOTER_VERSION = 1
 
 
 def segment_name(shard_id: int) -> str:
     return f"shard-{shard_id:04x}.jsonl"
-
-
-def index_name(shard_id: int) -> str:
-    return f"shard-{shard_id:04x}.idx.json"
 
 
 def _crc_hex(data: bytes) -> str:
@@ -71,34 +63,8 @@ def _atomic_write(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def index_payload(records: Sequence[StoreRecord], segment_bytes: bytes) -> Dict:
-    by_n: Dict[str, int] = {}
-    for key_n, _ in {r.key for r in records}:
-        by_n[str(key_n)] = by_n.get(str(key_n), 0) + 1
-    return {
-        "version": INDEX_VERSION,
-        "crc": _crc_hex(segment_bytes),
-        "count": len(records),
-        "bytes": len(segment_bytes),
-        "classes": len({r.key for r in records}),
-        "by_n": by_n,
-    }
-
-
 def write_shard(shard_dir: Path, shard_id: int, records: Sequence[StoreRecord]) -> None:
-    """Atomically replace a shard's segment (records + footer), then
-    refresh its stats index.
-
-    An empty record list removes both files (a shard that compacted to
-    nothing should not linger as an empty segment).
-    """
-    seg = shard_dir / segment_name(shard_id)
-    idx = shard_dir / index_name(shard_id)
-    if not records:
-        for path in (seg, idx):
-            if path.exists():
-                path.unlink()
-        return
+    """Atomically replace a shard's segment with ``records`` plus footer."""
     with scoped_timer("store.shard_write"):
         body = ("\n".join(r.to_line() for r in records) + "\n").encode("utf-8")
         footer = {
@@ -107,30 +73,10 @@ def write_shard(shard_dir: Path, shard_id: int, records: Sequence[StoreRecord]) 
             "crc": _crc_hex(body),
         }
         data = body + (json.dumps(footer, sort_keys=True) + "\n").encode("utf-8")
-        _atomic_write(seg, data)
-        _atomic_write(
-            idx, (json.dumps(index_payload(records, data), sort_keys=True) + "\n").encode("utf-8")
-        )
+        _atomic_write(shard_dir / segment_name(shard_id), data)
     if _obs.enabled:
         _obs.registry.counter("store.records_written").inc(len(records))
         _obs.registry.counter("store.bytes_written").inc(len(data))
-
-
-def read_index(shard_dir: Path, shard_id: int) -> Optional[Dict]:
-    """The shard's stats-index payload, or None when the shard has none.
-
-    May lag the segment by one in-flight flush; never used for loads.
-    """
-    idx = shard_dir / index_name(shard_id)
-    if not idx.exists():
-        return None
-    try:
-        payload = json.loads(idx.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise StoreCorruptionError(f"{idx.name}: unparseable index: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise StoreCorruptionError(f"{idx.name}: index is not a JSON object")
-    return payload
 
 
 def load_shard(shard_dir: Path, shard_id: int) -> List[StoreRecord]:
@@ -138,8 +84,7 @@ def load_shard(shard_dir: Path, shard_id: int) -> List[StoreRecord]:
 
     Verification is self-contained in the segment: footer presence,
     footer CRC over the record bytes, footer count, and every record's
-    own checksum.  The stats index plays no part, so concurrent flushes
-    cannot produce false corruption reports.
+    own checksum.
     """
     seg = shard_dir / segment_name(shard_id)
     if not seg.exists():
@@ -193,12 +138,3 @@ def _parse_segment(seg: Path) -> List[StoreRecord]:
         StoreRecord.from_line(line, where=f"{seg.name}:{lineno}")
         for lineno, line in enumerate(record_lines, start=1)
     ]
-
-
-def compact_records(records: Sequence[StoreRecord]) -> List[StoreRecord]:
-    """Drop superseded records (last write per class wins) and sort the
-    survivors by ``(n, canon_bits)`` for a deterministic layout."""
-    latest: Dict = {}
-    for record in records:
-        latest[record.key] = record
-    return [latest[key] for key in sorted(latest)]

@@ -2,10 +2,9 @@
 
 A :class:`ClassStore` is a directory::
 
-    MANIFEST.json          store version, shard count, format notes
-    shards/shard-XXXX.jsonl     append-only record segments (self-checking:
-                                each ends in a count+CRC footer line)
-    shards/shard-XXXX.idx.json  per-shard stats cache (never load-bearing)
+    MANIFEST.json              store version, shard count, format notes
+    shards/shard-XXXX.jsonl    record segments, one line per class (self-
+                               checking: each ends in a count+CRC footer line)
 
 Records are routed to shards by the CRC-32 of the class's **coarse
 pre-key** (:func:`repro.engine.prekey.coarse_prekey` of the canonical
@@ -14,12 +13,15 @@ class — and every future query function of that class — hashes to the
 same shard; a warm-start lookup touches exactly one segment no matter
 how large the store grows.
 
-Write model: appends buffer in memory (visible to the owning instance
-immediately) and hit disk on :meth:`flush` / :meth:`close`, each flush
-atomically replacing the affected segments (tmp + rename, see
-:mod:`repro.store.shard`).  Concurrent readers in other threads or
-processes therefore always see a complete on-disk snapshot; a reader's
-loaded shards are cached until :meth:`refresh`.
+Write model: new and superseding records buffer in memory (visible to
+the owning instance immediately) and hit disk on :meth:`flush` /
+:meth:`close`, the store's only write: each flush atomically replaces
+every dirty shard's segment with the latest record of each of its
+classes, sorted by ``(n, canon_bits)`` (tmp + fsync + rename, see
+:mod:`repro.store.shard`), so superseded records never reach disk.
+Concurrent readers in other threads or processes therefore always see a
+complete on-disk snapshot; a reader's loaded shards are cached until
+:meth:`refresh`.
 
 The store is single-writer.  Nothing enforces that across processes —
 two writers flushing the same shard would last-write-win at whole-
@@ -34,7 +36,7 @@ import threading
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.boolfunc.truthtable import TruthTable
 from repro.engine.prekey import coarse_prekey
@@ -43,14 +45,7 @@ from repro.obs.profile import scoped_timer
 
 from repro.store.errors import StoreCorruptionError, StoreError
 from repro.store.records import StoreRecord, WitnessTuple, encode_prekey
-from repro.store.shard import (
-    compact_records,
-    index_name,
-    load_shard,
-    read_index,
-    segment_name,
-    write_shard,
-)
+from repro.store.shard import load_shard, segment_name, write_shard
 
 MANIFEST_NAME = "MANIFEST.json"
 STORE_VERSION = 1
@@ -59,18 +54,20 @@ DEFAULT_NUM_SHARDS = 64
 
 @dataclass
 class _LoadedShard:
-    """In-memory image of one shard plus its lookup maps."""
+    """In-memory image of one shard: the latest record of each class."""
 
-    records: List[StoreRecord] = field(default_factory=list)
     by_key: Dict[Tuple[int, int], StoreRecord] = field(default_factory=dict)
     by_group: Dict[Tuple[int, str], Dict[int, StoreRecord]] = field(default_factory=dict)
-    dirty: int = 0  # count of buffered, unflushed appends
+    dirty: int = 0  # count of buffered, unflushed records
 
     def absorb(self, record: StoreRecord) -> None:
-        self.records.append(record)
         self.by_key[record.key] = record
         group = self.by_group.setdefault((record.n, record.prekey), {})
         group[record.canon_bits] = record
+
+    def latest(self) -> List[StoreRecord]:
+        """One record per class, sorted by ``(n, canon_bits)``."""
+        return [self.by_key[key] for key in sorted(self.by_key)]
 
 
 class ClassStore:
@@ -160,9 +157,8 @@ class ClassStore:
         ``witness`` is the ``(perm, input_neg, output_neg)`` tuple with
         ``NpnTransform(*witness).apply(rep) == canon``.  Re-adding an
         identical fact is a no-op; a record with the same class key but
-        different representative/witness/metadata is appended and
-        supersedes the old one (compaction later drops the shadowed
-        line).
+        different representative/witness/metadata supersedes the old
+        one, and the next flush writes only the new one.
         """
         prekey = self.prekey_of(n, canon_bits)
         record = StoreRecord(
@@ -189,53 +185,27 @@ class ClassStore:
             return True
 
     def dirty_count(self) -> int:
-        """Buffered appends not yet on disk (drives background flushers)."""
+        """Buffered records not yet on disk (drives background flushers)."""
         with self._lock:
             return sum(s.dirty for s in self._shards.values())
 
     def flush(self) -> int:
-        """Write buffered appends to disk; returns flushed record count."""
+        """Rewrite every dirty shard's segment; returns flushed record count.
+
+        A segment holds the latest record of each of the shard's classes,
+        sorted by ``(n, canon_bits)``.
+        """
         flushed = 0
         with self._lock, scoped_timer("store.flush"):
             for shard_id, loaded in sorted(self._shards.items()):
                 if not loaded.dirty:
                     continue
-                write_shard(self.shard_dir, shard_id, loaded.records)
+                write_shard(self.shard_dir, shard_id, loaded.latest())
                 flushed += loaded.dirty
                 loaded.dirty = 0
         if flushed and _obs.enabled:
             _obs.registry.counter("store.records_flushed").inc(flushed)
         return flushed
-
-    def compact(self) -> Dict[str, int]:
-        """Dedupe superseded records shard-by-shard and rewrite sorted.
-
-        Flushes first, touches every shard present on disk, and returns
-        ``{"records_before", "records_after", "shards_rewritten"}``.
-        """
-        with self._lock, scoped_timer("store.compact"):
-            self.flush()
-            before = after = rewritten = 0
-            for shard_id in self._present_shard_ids():
-                loaded = self._shard(shard_id)
-                before += len(loaded.records)
-                kept = compact_records(loaded.records)
-                after += len(kept)
-                if kept != loaded.records:
-                    write_shard(self.shard_dir, shard_id, kept)
-                    rewritten += 1
-                    fresh = _LoadedShard()
-                    for record in kept:
-                        fresh.absorb(record)
-                    self._shards[shard_id] = fresh
-            if _obs.enabled:
-                _obs.registry.counter("store.compact_dropped").inc(before - after)
-                _obs.registry.counter("store.compact_rewritten").inc(rewritten)
-            return {
-                "records_before": before,
-                "records_after": after,
-                "shards_rewritten": rewritten,
-            }
 
     def close(self) -> None:
         self.flush()
@@ -278,47 +248,34 @@ class ClassStore:
         return [group[bits] for bits in sorted(group)]
 
     def records(self) -> Iterator[StoreRecord]:
-        """Latest record of every stored class (superseded lines hidden)."""
+        """Latest record of every stored class."""
         for shard_id in self._present_shard_ids():
-            loaded = self._shard(shard_id)
-            for key in sorted(loaded.by_key):
-                yield loaded.by_key[key]
+            yield from self._shard(shard_id).latest()
 
     # -- maintenance / introspection ------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        """Store-wide summary, served from the per-shard index files
-        (no segment parsing) plus any unflushed buffers."""
+        """Store-wide summary: class counts from the loaded shards (so
+        including unflushed records), segment bytes from disk."""
         shards = 0
-        segment_records = 0
         classes = 0
         size_bytes = 0
         by_n: Dict[str, int] = {}
         for shard_id in self._present_shard_ids():
-            idx = read_index(self.shard_dir, shard_id)
-            loaded = self._shards.get(shard_id)
-            if idx is not None and (loaded is None or not loaded.dirty):
-                shards += 1
-                segment_records += idx.get("count", 0)
-                classes += idx.get("classes", 0)
-                size_bytes += idx.get("bytes", 0)
-                for key_n, count in idx.get("by_n", {}).items():
-                    by_n[key_n] = by_n.get(key_n, 0) + count
-            else:
-                loaded = self._shard(shard_id)
-                if not loaded.records:
-                    continue
-                shards += 1
-                segment_records += len(loaded.records)
-                classes += len(loaded.by_key)
-                size_bytes += sum(len(r.to_line()) + 1 for r in loaded.records)
-                for key_n, _ in {r.key for r in loaded.records}:
-                    by_n[str(key_n)] = by_n.get(str(key_n), 0) + 1
+            loaded = self._shard(shard_id)
+            if not loaded.by_key:
+                continue
+            shards += 1
+            classes += len(loaded.by_key)
+            seg = self.shard_dir / segment_name(shard_id)
+            if seg.exists():
+                size_bytes += seg.stat().st_size
+            for key_n, _ in loaded.by_key:
+                by_n[str(key_n)] = by_n.get(str(key_n), 0) + 1
         return {
             "path": str(self.path),
             "num_shards": self.num_shards,
             "shards_present": shards,
-            "records": segment_records,
             "classes": classes,
             "bytes": size_bytes,
             "classes_by_n": dict(sorted(by_n.items(), key=lambda kv: int(kv[0]))),
@@ -326,8 +283,8 @@ class ClassStore:
 
     def verify(self, witnesses: bool = True) -> int:
         """Full integrity sweep: re-read every shard from disk, checking
-        segment framing, record checksums, index consistency and (by
-        default) every witness identity.  Returns the record count;
+        segment framing, record checksums, shard routing and (by default)
+        every witness identity.  Returns the record count;
         raises :class:`StoreCorruptionError` / :class:`StoreError` on
         the first problem found.
         """
@@ -336,7 +293,6 @@ class ClassStore:
                 raise StoreError("verify() with unflushed records; flush() first")
             total = 0
             for shard_id in self._present_shard_ids():
-                read_index(self.shard_dir, shard_id)  # raises if unparseable
                 records = load_shard(self.shard_dir, shard_id)
                 for record in records:
                     expected = self.shard_of_prekey(record.prekey)
@@ -356,24 +312,3 @@ class ClassStore:
             if _obs.enabled:
                 _obs.registry.counter("store.records_verified").inc(total)
             return total
-
-    def reindex(self) -> int:
-        """Rebuild every shard's stats index from its (checksum-verified)
-        segment — the recovery path when index files are lost or mangled
-        while segments are sound.  Returns the shards reindexed."""
-        with self._lock:
-            if any(s.dirty for s in self._shards.values()):
-                raise StoreError("reindex() with unflushed records; flush() first")
-            count = 0
-            for shard_id in self._present_shard_ids():
-                seg = self.shard_dir / segment_name(shard_id)
-                idx = self.shard_dir / index_name(shard_id)
-                if idx.exists():
-                    idx.unlink()
-                if not seg.exists():
-                    continue
-                records = load_shard(self.shard_dir, shard_id)
-                write_shard(self.shard_dir, shard_id, records)
-                self._shards.pop(shard_id, None)
-                count += 1
-            return count

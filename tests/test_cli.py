@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import load_circuit, main
+from repro.cli import build_parser, load_circuit, main
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +131,31 @@ def test_map_rejects_out_of_range_cut_limits(flag, value, capsys):
     assert "area" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "bench:9sym", "--cache-size", "0"],
+        ["serve", "--cache-size", "0"],
+        ["serve", "--max-pending", "0"],
+        ["serve", "--max-batch", "-1"],
+        ["serve", "--shards", "0"],
+        ["serve", "--flush-interval", "0"],
+        ["serve", "--flush-interval", "-1"],
+        ["lib", "build", "STORE", "--shards", "0"],
+    ],
+    ids=" ".join,
+)
+def test_size_flags_reject_out_of_range_values(argv, capsys):
+    # A usage error from the parser: never a traceback, a silent clamp,
+    # or a daemon with write-back switched off.
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-2]}: must be" in err
+    assert "Traceback" not in err
+
+
 def test_table1_subset(capsys):
     code, out = run_cli(capsys, "table1", "con1", "z4ml")
     assert code == 0
@@ -197,10 +222,14 @@ def test_lib_build_query_stats_compact_workflow(tmp_path, capsys):
 
     code, out = run_cli(capsys, "lib", "stats", store, "--verify")
     assert code == 0
-    assert "records" in out and "verify" in out
+    assert "classes" in out and "verify" in out
 
-    code, out = run_cli(capsys, "lib", "compact", store)
-    assert code == 0
+    # Every flush writes one line per class, so there is nothing left
+    # to compact and the verb is gone.
+    with pytest.raises(SystemExit) as exc:
+        main(["lib", "compact", store])
+    assert exc.value.code == 2
+    assert "invalid choice: 'compact'" in capsys.readouterr().err
 
     code, out = run_cli(capsys, "lib", "stats", store, "--verify")
     assert code == 0

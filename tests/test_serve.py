@@ -10,6 +10,7 @@ parked in the queue hold the engine thread inside its first
 
 from __future__ import annotations
 
+import errno
 import json
 import random
 import socket
@@ -485,30 +486,152 @@ class TestBackpressure:
 
 class TestWriteBack:
     def test_background_loop_flushes_and_compacts(self, rng, tmp_path):
+        # Every flush writes each dirty shard as one line per class, so
+        # the loop's segments are already compact.
         path = tmp_path / "store"
         store = ClassStore(path, create=True)
         tables = [TruthTable.random(4, rng) for _ in range(8)]
-        config = ServeConfig(flush_interval=0.05, compact_every=1)
+        config = ServeConfig(flush_interval=0.05)
         with serve(config, store=store) as st, MatchClient(port=st.port) as client:
             served = [client.classify(f) for f in tables]
-            # compactions == flushes: no compaction is still running
             for _ in range(500):
                 written = client.stats()["store"]
-                if written["dirty"] == 0 and written["compactions"] >= written["flushes"] >= 1:
+                if written["dirty"] == 0 and written["flushes"] >= 1:
                     break
                 time.sleep(0.01)
             else:
-                pytest.fail(f"the write-back loop never flushed and compacted: {written}")
+                pytest.fail(f"the write-back loop never flushed: {written}")
+            assert set(written) == {"dirty", "flushes"}
             # read back while the server still runs: the loop, not the
             # shutdown flush, must have written every class
             reopened = ClassStore(path, create=False)
-            assert reopened.verify() > 0
+            classes = len(list(reopened.records()))
+            assert reopened.verify() == classes > 0  # one line per class
+            assert not list((path / "shards").glob("*.idx.json"))
             for f, got in zip(tables, served):
                 resolved = store_lookup(reopened, f)
                 assert resolved is not None, "the write-back loop lost a class"
                 assert f"0x{resolved[0]:x}" == got["class"]
             reopened.close()
         store.close()
+
+    def test_failed_flush_is_counted_and_retried(
+        self, rng, tmp_path, monkeypatch, capsys
+    ):
+        store = ClassStore(tmp_path / "store", create=True)
+        real_flush = store.flush
+        attempts = []
+
+        def flaky_flush():
+            attempts.append(store.dirty_count())
+            if len(attempts) == 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_flush()
+
+        monkeypatch.setattr(store, "flush", flaky_flush)
+        st = serve(ServeConfig(flush_interval=0.05), store=store)
+        try:
+            with MatchClient(port=st.port) as client:
+                for _ in range(6):
+                    client.classify(TruthTable.random(4, rng))
+                for _ in range(500):
+                    stats = client.stats()
+                    if stats["store"]["dirty"] == 0 and stats["store"]["flushes"]:
+                        break
+                    time.sleep(0.01)
+                else:
+                    pytest.fail(f"no flush after the failed one: {stats['store']}")
+            assert stats["counters"]["serve.store_flush_errors"] == 1
+        finally:
+            st.stop(timeout=5)
+        assert not st._thread.is_alive()
+        assert attempts[0] > 0 and len(attempts) >= 2
+        err = capsys.readouterr().err
+        assert err.count("store flush failed") == 1
+        assert "No space left on device" in err
+        assert ClassStore(tmp_path / "store", create=False).verify() > 0
+
+    def test_shutdown_completes_when_every_flush_fails(
+        self, rng, tmp_path, monkeypatch, capsys
+    ):
+        store = ClassStore(tmp_path / "store", create=True)
+
+        def failing_flush():
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(store, "flush", failing_flush)
+        server = MatchServer(config=ServeConfig(flush_interval=0.05), store=store)
+        st = ServerThread(server).start()
+        try:
+            with MatchClient(port=st.port) as client:
+                client.classify(TruthTable.random(4, rng))
+                for _ in range(500):
+                    if server.metrics.counter_value("serve.store_flush_errors") >= 2:
+                        break
+                    time.sleep(0.01)
+                else:
+                    pytest.fail("the write-back loop stopped retrying")
+        finally:
+            st.stop(timeout=5)
+        assert not st._thread.is_alive()
+        assert server._stopped.is_set()
+        assert store.dirty_count() > 0  # kept in memory, not dropped
+        assert "store flush failed" in capsys.readouterr().err
+
+    def test_serve_exits_nonzero_when_the_closing_flush_fails(
+        self, rng, tmp_path, monkeypatch, capsys
+    ):
+        def failing_flush(store):
+            if store.dirty_count():
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return 0
+
+        monkeypatch.setattr(ClassStore, "flush", failing_flush)
+        started = []
+        real_start = MatchServer.start
+
+        async def start(server):
+            await real_start(server)
+            started.append(server)
+
+        monkeypatch.setattr(MatchServer, "start", start)
+        argv = [
+            "serve", "--port", "0", "--store", str(tmp_path / "store"),
+            "--flush-interval", "3600",
+        ]
+        codes = []
+        thread = threading.Thread(
+            target=lambda: codes.append(cli_main(argv)), daemon=True
+        )
+        thread.start()
+        for _ in range(500):
+            if started:
+                break
+            time.sleep(0.01)
+        with MatchClient(port=started[0].port) as client:
+            client.classify(TruthTable.random(4, rng))
+            client.shutdown()
+        thread.join(10)
+        assert not thread.is_alive()
+        assert codes == [1]
+        captured = capsys.readouterr()
+        assert "grm-match serve: error: store flush failed" in captured.err
+        assert "Traceback" not in captured.err
+        assert "serve: stopped" not in captured.out
+
+    def test_retired_compaction_surface_is_rejected(self, tmp_path, capsys):
+        with pytest.raises(TypeError):
+            ServeConfig(compact_every=1)
+        assert not hasattr(ClassStore, "compact")
+        assert not hasattr(ClassStore, "reindex")
+        for argv in (
+            ["serve", "--port", "0", "--compact-every", "1"],
+            ["lib", "compact", str(tmp_path)],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(argv)
+            assert exc.value.code == 2, argv
+            assert "compact" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -613,3 +736,13 @@ class TestHttpShim:
                 b"POST / HTTP/1.1\r\nHost: t\r\nContent-Length: 999999999\r\n\r\n",
             )
             assert status == "HTTP/1.1 413 Payload Too Large"
+            for length in (b"-5", b"abc", b""):
+                status, body = http_exchange(
+                    st.port,
+                    b"POST / HTTP/1.1\r\nHost: t\r\nContent-Length: "
+                    + length
+                    + b"\r\n\r\n{}",
+                )
+                assert status == "HTTP/1.1 400 Bad Request", length
+                assert body["error"] == ERR_BAD_REQUEST
+                assert "Content-Length" in body["detail"]

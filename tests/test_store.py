@@ -26,6 +26,7 @@ from repro.engine import (
 )
 from repro.store import ClassStore, StoreCorruptionError, StoreError, StoreRecord
 from repro.store.records import encode_prekey
+from repro.store.shard import write_shard
 from repro.testing import corpus as corpus_mod
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -152,14 +153,22 @@ class TestRoundTrip:
     def test_add_is_idempotent_and_supersede_wins(self, tmp_path):
         store = ClassStore(tmp_path / "s", num_shards=4)
         f = TruthTable(2, 0b1000)
+        g = TruthTable(2, 0b0110)
         assert add_function(store, f, meta={"v": 1})
+        assert add_function(store, g)
+        store.flush()
         assert not add_function(store, f, meta={"v": 1})  # identical fact
+        assert store.dirty_count() == 0
         assert add_function(store, f, meta={"v": 2})  # supersedes
         store.flush()
         canon_bits = canonical_form(f)[0].bits
         assert store.get(2, canon_bits).meta == {"v": 2}
-        result = store.compact()
-        assert result["records_after"] < result["records_before"]
+        # The flush wrote the shard's latest records only: one line per
+        # class, sorted by (n, canon_bits).
+        for seg in segments_of(tmp_path / "s"):
+            keys = [record.key for record in segment_records(seg)]
+            assert keys == sorted(set(keys))
+        assert segment_lines(tmp_path / "s") == 2
         reopened = ClassStore(tmp_path / "s", create=False)
         assert reopened.get(2, canon_bits).meta == {"v": 2}
 
@@ -173,14 +182,20 @@ class TestRoundTrip:
             ClassStore(tmp_path / "absent", create=False)
 
     def test_stats_from_indexes(self, tmp_path):
+        # Stats come from the segments themselves; no index file exists.
         store = ClassStore(tmp_path / "s", num_shards=4)
         for bits in range(1, 16):
             add_function(store, TruthTable(2, bits))
         store.flush()
         st = ClassStore(tmp_path / "s", create=False).stats()
-        assert st["records"] >= st["classes"] > 0
+        assert "records" not in st
+        assert st["classes"] == segment_lines(tmp_path / "s") > 0
         assert st["classes_by_n"] == {"2": st["classes"]}
-        assert st["bytes"] > 0
+        assert st["shards_present"] == len(segments_of(tmp_path / "s"))
+        assert st["bytes"] == sum(
+            seg.stat().st_size for seg in segments_of(tmp_path / "s")
+        )
+        assert not list((tmp_path / "s" / "shards").glob("*.idx.json"))
 
 
 # ----------------------------------------------------------------------
@@ -200,6 +215,17 @@ def populated_store(tmp_path, count=30):
 
 def segments_of(store_path):
     return sorted((store_path / "shards").glob("shard-*.jsonl"))
+
+
+def segment_records(seg):
+    """A segment's record lines, parsed, without the footer."""
+    lines = seg.read_text().splitlines()[:-1]
+    return [StoreRecord.from_line(line) for line in lines]
+
+
+def segment_lines(store_path):
+    """Record lines across every segment of a store."""
+    return sum(len(segment_records(seg)) for seg in segments_of(store_path))
 
 
 class TestCorruption:
@@ -239,36 +265,49 @@ class TestCorruption:
         with pytest.raises(StoreCorruptionError):
             list(store.records())
 
-    def test_unparseable_index_raises(self, tmp_path):
-        path = populated_store(tmp_path)
-        idx = sorted((path / "shards").glob("*.idx.json"))[0]
-        idx.write_text("{not json")
-        with pytest.raises(StoreCorruptionError, match="index"):
-            ClassStore(path, create=False).verify()
-
     def test_stale_index_from_concurrent_flush_is_tolerated(self, tmp_path):
-        """new segment + old index = mid-flush reader view, not corruption."""
-        path = populated_store(tmp_path)
-        old_indexes = {
-            idx: idx.read_text() for idx in (path / "shards").glob("*.idx.json")
-        }
-        # Append one more valid record (as a newer flush would), then roll
-        # every index back to its pre-flush content.
-        store = ClassStore(path, create=False)
-        add_function(store, TruthTable(3, 0x96))
-        store.flush()
-        for idx, text in old_indexes.items():
-            idx.write_text(text)
-        fresh = ClassStore(path, create=False)
-        assert fresh.verify() > 0
+        """A store in the earlier format still loads and verifies.
 
-    def test_reindex_recovers_missing_index(self, tmp_path):
-        path = populated_store(tmp_path)
-        for idx in (path / "shards").glob("*.idx.json"):
-            idx.unlink()
-        store = ClassStore(path, create=False)
-        assert store.reindex() > 0
-        assert ClassStore(path, create=False).verify() > 0
+        Its segments could carry superseded lines, and each shard had a
+        ``.idx.json`` stats file beside it; loads keep the last line of a
+        class, nothing reads the index files, and the next flush writes
+        the shard back one line per class.
+        """
+        path = tmp_path / "s"
+        store = ClassStore(path, num_shards=1)
+        f, g = TruthTable(3, 0xE8), TruthTable(3, 0x96)
+        add_function(store, f, meta={"v": 1})
+        add_function(store, g)
+        store.flush()
+        shard_id = 0
+        records = list(store.records())
+        canon_f = canonical_form(f)[0].bits
+        old = next(r for r in records if r.canon_bits == canon_f)
+        new = StoreRecord(
+            n=old.n, canon_bits=old.canon_bits, rep_bits=old.rep_bits,
+            witness=old.witness, prekey=old.prekey, meta={"v": 2},
+        )
+        shard_dir = path / "shards"
+        write_shard(shard_dir, shard_id, records + [new])  # superseded line
+        (shard_dir / f"shard-{shard_id:04x}.idx.json").write_text(
+            '{"version": 1, "count": 1, "classes": 1, "bytes": 7, "by_n": {}}\n'
+        )
+        (shard_dir / "shard-7fff.idx.json").write_text("{not json")
+
+        reopened = ClassStore(path, create=False)
+        assert reopened.verify() == 3  # every line, superseded one included
+        assert reopened.get(3, canon_f).meta == {"v": 2}
+        assert reopened.stats()["classes"] == 2
+        assert {r.key for r in reopened.records()} == {r.key for r in records}
+
+        add_function(reopened, TruthTable(3, 0x80))
+        reopened.flush()
+        assert segment_lines(path) == 3
+        keys = [r.key for r in segment_records(segments_of(path)[0])]
+        assert keys == sorted(set(keys))
+        again = ClassStore(path, create=False)
+        assert again.verify() == 3
+        assert again.get(3, canon_f).meta == {"v": 2}
 
 
 # ----------------------------------------------------------------------
