@@ -34,7 +34,9 @@ Two fidelity modes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from functools import cache
+from itertools import combinations
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.boolfunc.truthtable import TruthTable
 from repro.core import signatures as sigs_mod
@@ -80,17 +82,15 @@ class DifferentiationReport:
         return not self.hard_sets
 
 
-def _block_fully_symmetric(f: TruthTable, block: Sequence[int]) -> bool:
+def _block_fully_symmetric(
+    symmetric: Callable[[int, int], bool], block: Sequence[int]
+) -> bool:
     """True when every pair in the block holds one of the four symmetries."""
-    return all(
-        sym_mod.has_any_symmetry(f, block[a], block[b])
-        for a in range(len(block))
-        for b in range(a + 1, len(block))
-    )
+    return all(symmetric(a, b) for a, b in combinations(block, 2))
 
 
-def _all_blocks_symmetric(f: TruthTable, part: Partition) -> bool:
-    return all(_block_fully_symmetric(f, b) for b in part.nontrivial_blocks())
+def _all_blocks_symmetric(symmetric: Callable[[int, int], bool], part: Partition) -> bool:
+    return all(_block_fully_symmetric(symmetric, b) for b in part.nontrivial_blocks())
 
 
 def differentiate_output(
@@ -114,7 +114,7 @@ def differentiate_output(
     grms_used = 0
     used_linear = False
     if part.is_discrete():
-        return _finish(f, part, "weights", grms_used, used_linear)
+        return _finish(part, "weights", grms_used, used_linear)
 
     decision = decide_polarity_primary(f)
     used_linear = decision.used_linear
@@ -124,10 +124,13 @@ def differentiate_output(
         part, f, grm, use_incidence=(mode == "enhanced")
     )
     if part.is_discrete():
-        return _finish(f, part, "grm", grms_used, used_linear)
+        return _finish(part, "grm", grms_used, used_linear)
 
-    if _all_blocks_symmetric(f, part):
-        return _finish(f, part, "symmetry", grms_used, used_linear)
+    # Memoized: each pair is judged once, however often its block is
+    # consulted (here, after each extra GRM, and by _finish).
+    symmetric = cache(lambda a, b: sym_mod.has_any_symmetry(f, a, b))
+    if _all_blocks_symmetric(symmetric, part):
+        return _finish(part, "symmetry", grms_used, used_linear, symmetric)
 
     # Stage 4: additional GRMs from the Section 5.3 polarity family.  In
     # paper mode they only feed the symmetry verdicts (which
@@ -140,34 +143,37 @@ def differentiate_output(
             extra = Grm.from_truthtable(f, polarity)
             grms_used += 1
             sigs_mod.refine_partition_with_grm(part, f, extra, use_incidence=True)
-            if part.is_discrete() or _all_blocks_symmetric(f, part):
-                return _finish(f, part, "extra-grms", grms_used, used_linear)
+            if part.is_discrete() or _all_blocks_symmetric(symmetric, part):
+                return _finish(part, "extra-grms", grms_used, used_linear, symmetric)
     else:
         # The symmetry family still costs GRM constructions in the
         # paper's flow; account for them in the statistics.
         grms_used += min(max_extra_grms, max(0, n - 1))
 
-    return _finish(f, part, "hard", grms_used, used_linear)
+    return _finish(part, "hard", grms_used, used_linear, symmetric)
 
 
 def _finish(
-    f: TruthTable,
     part: Partition,
     stage: str,
     grms_used: int,
     used_linear: bool,
+    symmetric: Callable[[int, int], bool] | None = None,
 ) -> DifferentiationReport:
+    """Sort the nontrivial blocks into symmetric and hard ones, with the
+    pair verdicts the stages already hold (a discrete partition has no
+    blocks to sort)."""
     symmetric_blocks: List[Tuple[int, ...]] = []
     hard_sets: List[Tuple[int, ...]] = []
     for block in part.nontrivial_blocks():
-        if _block_fully_symmetric(f, block):
+        if _block_fully_symmetric(symmetric, block):
             symmetric_blocks.append(block)
         else:
             hard_sets.append(block)
     if stage == "hard" and not hard_sets:
         stage = "extra-grms"
     return DifferentiationReport(
-        n=f.n,
+        n=part.n,
         stage=stage,
         grms_used=grms_used,
         used_linear=used_linear,

@@ -8,7 +8,12 @@ prime iff it is the only cube whose support contains ``S(p)``.
 
 This module provides the exact set-based test, the direct
 Boolean-difference verification, and the paper's iterative
-"longest-cubes-first" detection ladder.
+"longest-cubes-first" detection ladder.  The set-based test
+(:meth:`Grm.prime_cubes`) runs as two superset-closure sweeps over the
+packed coefficient vector — the FPRM butterfly's shape — which mark
+every cube with a strictly larger cube of the form; the unmarked cubes
+are prime.  The ladder and :func:`prime_cubes_exact` are the references
+the tests hold it to.
 """
 
 from __future__ import annotations

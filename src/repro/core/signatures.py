@@ -113,13 +113,23 @@ def function_signature(f: TruthTable, grm: Grm) -> FunctionSignature:
     )
 
 
-def variable_signatures(f: TruthTable, grm: Grm) -> VariableSignatures:
-    """Build the per-variable signature columns of ``f`` under ``grm``."""
+def variable_signatures(
+    f: TruthTable,
+    grm: Grm,
+    weight_pairs: Optional[Sequence[Tuple[int, int]]] = None,
+) -> VariableSignatures:
+    """Build the per-variable signature columns of ``f`` under ``grm``.
+
+    ``weight_pairs`` is the weights column when the caller already holds
+    it, so that no column is built twice.
+    """
     n = f.n
+    if weight_pairs is None:
+        weight_pairs = [weight_pair(f, i) for i in range(n)]
     vic = grm.variable_inclusion_counts()
     pcvic = primes_mod.prime_vic(grm)
     return VariableSignatures(
-        weight_pairs=tuple(weight_pair(f, i) for i in range(n)),
+        weight_pairs=tuple(weight_pairs),
         vic_columns=tuple(tuple(vic[k][j] for k in range(n + 1)) for j in range(n)),
         fvc=grm.variable_cube_counts(),
         finc=grm.incidence_totals(),
@@ -145,8 +155,13 @@ def refine_partition_with_grm(
     repeated (1 = the paper's static signature comparison, ``None`` with
     ``use_incidence`` = iterate to a Weisfeiler-Lehman-style fixpoint —
     our enhancement).
+
+    A family runs only while some block still holds two variables:
+    :meth:`Partition.refine` keeps singleton blocks, so refining a
+    discrete partition changes nothing.  The GRM-derived columns
+    (:func:`variable_signatures`) are built only when a block survives
+    the truth-table families.
     """
-    sigs = variable_signatures(f, grm)
     fams = set(signature_families)
     tr = _obs.tracer
     detail = tr.wants(TRACE_DETAIL)
@@ -159,29 +174,39 @@ def refine_partition_with_grm(
             blocks=[list(b) for b in partition.blocks],
         )
 
-    if "weights" in fams:
-        split = partition.refine(lambda v: sigs.weight_pairs[v])
+    def runs(family: str) -> bool:
+        return family in fams and not partition.is_discrete()
+
+    pairs = None
+    if runs("weights"):
+        pairs = [weight_pair(f, v) for v in range(f.n)]
+        split = partition.refine(lambda v: pairs[v])
         if detail:
             _trace("weights", split)
-    if "influence" in fams:
+    if runs("influence"):
         infl = sens_mod.influence_vector(f)
         split = partition.refine(lambda v: infl[v])
         if detail:
             _trace("influence", split)
-    if "sensitivity" in fams:
+    if runs("sensitivity"):
         cols = sens_mod.sensitivity_columns(f)
         split = partition.refine(lambda v: cols[v])
         if detail:
             _trace("sensitivity", split)
-    if "vic" in fams:
+    if not any(runs(family) for family in ("vic", "primes", "inc")):
+        return partition
+    # Called by its module-level name: profilers time the GRM columns by
+    # wrapping ``signatures.variable_signatures``.
+    sigs = variable_signatures(f, grm, pairs)
+    if runs("vic"):
         split = partition.refine(lambda v: (sigs.fvc[v], sigs.vic_columns[v]))
         if detail:
             _trace("vic", split)
-    if "primes" in fams:
+    if runs("primes"):
         split = partition.refine(lambda v: (sigs.pcv[v], sigs.pcvic_columns[v]))
         if detail:
             _trace("primes", split)
-    if "inc" in fams:
+    if runs("inc"):
         split = partition.refine(lambda v: sigs.finc[v])
         if inc_rounds is None:
             inc_rounds = 10**9 if use_incidence else 1

@@ -45,37 +45,59 @@ NEGATIVE_TYPES = (SKEW_NE, SKEW_E)
 # Ground-truth cofactor definitions
 # ----------------------------------------------------------------------
 
-def _pair_cofactor(f: TruthTable, i: int, j: int, a: int, b: int) -> TruthTable:
-    return f.cofactor(i, a).cofactor(j, b)
+def _pair_cofactors(f: TruthTable, i: int, j: int) -> Tuple[int, int, int, int, int]:
+    """``(f_00, f_01, f_10, f_11, mask)`` read off the packed table.
+
+    Each cofactor is the sub-vector at the minterms where
+    ``x_i = x_j = 0`` (``mask``), shifted into place from its quarter of
+    the table, so two cofactors are equal iff these integers are and
+    complementary iff their XOR is ``mask``.
+    """
+    if i == j:
+        raise ValueError("symmetry is defined for distinct variables")
+    n, bits = f.n, f.bits
+    mask = bitops.axis_mask(n, i) & bitops.axis_mask(n, j)
+    si, sj = 1 << i, 1 << j
+    return (
+        bits & mask,
+        (bits >> sj) & mask,
+        (bits >> si) & mask,
+        (bits >> (si | sj)) & mask,
+        mask,
+    )
 
 
 def has_symmetry(f: TruthTable, i: int, j: int, kind: str) -> bool:
     """Decide one symmetry type for a pair directly from the cofactors."""
-    if i == j:
-        raise ValueError("symmetry is defined for distinct variables")
+    f00, f01, f10, f11, mask = _pair_cofactors(f, i, j)
     if kind == NE:
-        return _pair_cofactor(f, i, j, 0, 1) == _pair_cofactor(f, i, j, 1, 0)
+        return f01 == f10
     if kind == E:
-        return _pair_cofactor(f, i, j, 0, 0) == _pair_cofactor(f, i, j, 1, 1)
+        return f00 == f11
     if kind == SKEW_NE:
-        return _pair_cofactor(f, i, j, 0, 1) == ~_pair_cofactor(f, i, j, 1, 0)
+        return f01 ^ f10 == mask
     if kind == SKEW_E:
-        return _pair_cofactor(f, i, j, 0, 0) == ~_pair_cofactor(f, i, j, 1, 1)
+        return f00 ^ f11 == mask
     raise ValueError(f"unknown symmetry type {kind!r}")
 
 
 def pair_symmetries(f: TruthTable, i: int, j: int) -> FrozenSet[str]:
     """All symmetry types held by the pair (cofactor definitions)."""
-    return frozenset(k for k in ALL_SYMMETRY_TYPES if has_symmetry(f, i, j, k))
+    f00, f01, f10, f11, mask = _pair_cofactors(f, i, j)
+    held = (f01 == f10, f00 == f11, f01 ^ f10 == mask, f00 ^ f11 == mask)
+    return frozenset(k for k, ok in zip(ALL_SYMMETRY_TYPES, held) if ok)
 
 
 def has_any_symmetry(f: TruthTable, i: int, j: int) -> bool:
-    return bool(pair_symmetries(f, i, j))
+    """True when the pair holds any of the four types (first hit wins)."""
+    f00, f01, f10, f11, mask = _pair_cofactors(f, i, j)
+    return f01 == f10 or f00 == f11 or f01 ^ f10 == mask or f00 ^ f11 == mask
 
 
 def has_positive_symmetry(f: TruthTable, i: int, j: int) -> bool:
     """NE or E symmetry (the paper's *positive symmetry*)."""
-    return has_symmetry(f, i, j, NE) or has_symmetry(f, i, j, E)
+    f00, f01, f10, f11, _ = _pair_cofactors(f, i, j)
+    return f01 == f10 or f00 == f11
 
 
 # ----------------------------------------------------------------------

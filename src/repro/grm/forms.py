@@ -173,13 +173,28 @@ class Grm:
         cube of the form whose support contains ``S(p)`` — equivalently no
         other cube's support is a strict superset.  Prime cubes appear in
         *every* GRM form of the function.
+
+        Computed for all cubes at once by superset-closure sweeps over the
+        packed coefficient vector, the butterfly shape of the FPRM
+        transform: after ``closure |= (closure >> 2**i) & axis_mask(n, i)``
+        for every ``i``, bit ``c`` of ``closure`` is set iff some cube
+        contains ``c``; one more OR of the same shifted terms marks the
+        masks with a *strict* superset among the cubes.  A cube is prime
+        iff its mark is clear.  The marks are read through one byte view,
+        as walking the ``2**n``-bit integer bit by bit costs
+        ``O(primes · 2**n)``.
         """
         if self._primes is None:
-            cubes = self.cubes
+            masks = bitops.axis_masks(self.n)
+            closure = self._coeffs
+            for i, mask in enumerate(masks):
+                closure |= (closure >> (1 << i)) & mask
+            strict = 0
+            for i, mask in enumerate(masks):
+                strict |= (closure >> (1 << i)) & mask
+            view = strict.to_bytes(((1 << self.n) + 7) >> 3, "little")
             self._primes = frozenset(
-                cand
-                for cand in cubes
-                if not any(other != cand and other & cand == cand for other in cubes)
+                c for c in self.cubes if not (view[c >> 3] >> (c & 7)) & 1
             )
         return self._primes
 

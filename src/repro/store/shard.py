@@ -31,6 +31,7 @@ records.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import zlib
@@ -54,19 +55,29 @@ def _crc_hex(data: bytes) -> str:
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
-    """Stage-and-rename write; the destination is never partially written."""
+    """Stage-and-rename write; the destination is never partially written.
+
+    When the write, the fsync or the rename fails, the staged file is
+    removed (on a full disk it would keep holding the space) and the
+    original error propagates.
+    """
     tmp = path.parent / f".{path.name}.tmp-{os.getpid()}"
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_shard(shard_dir: Path, shard_id: int, records: Sequence[StoreRecord]) -> None:
     """Atomically replace a shard's segment with ``records`` plus footer."""
     with scoped_timer("store.shard_write"):
-        body = ("\n".join(r.to_line() for r in records) + "\n").encode("utf-8")
+        body = "".join(r.to_line() + "\n" for r in records).encode("utf-8")
         footer = {
             "footer": FOOTER_VERSION,
             "count": len(records),

@@ -1,10 +1,13 @@
 """Tests for the Section 7 variable-differentiation experiment."""
 
+from collections import Counter
+
 import pytest
 
 from repro.benchcircuits import build_circuit
 from repro.boolfunc import ops
 from repro.boolfunc.truthtable import TruthTable
+from repro.core import symmetry as sym_mod
 from repro.core.differentiate import (
     differentiate_circuit,
     differentiate_output,
@@ -107,3 +110,26 @@ def test_exact_circuits_differentiation_shapes():
     rd = build_circuit("rd73")
     r2 = differentiate_circuit(rd.name, rd.n_inputs, rd.output_pairs())
     assert r2.hard_outputs == 0
+
+
+@pytest.mark.parametrize("mode", ["paper", "enhanced"])
+def test_each_pair_judged_at_most_once(monkeypatch, mode):
+    judged = Counter()
+    real = sym_mod.has_any_symmetry
+
+    def counting(f, i, j):
+        judged[(i, j)] += 1
+        return real(f, i, j)
+
+    monkeypatch.setattr(sym_mod, "has_any_symmetry", counting)
+    functions = [
+        TruthTable.parity(5),
+        ops.majority(5),
+        build_circuit("cm151a").outputs[0].table,
+        build_circuit("cm150a").outputs[0].table,
+    ]
+    for f in functions:
+        judged.clear()
+        differentiate_output(f, mode=mode)
+        assert judged, "no block was judged"
+        assert max(judged.values()) == 1, judged

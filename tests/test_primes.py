@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from repro.boolfunc.truthtable import TruthTable
 from repro.core import primes
 from repro.grm.forms import Grm
+from repro.utils import bitops
 from tests.conftest import truth_tables
 
 
@@ -106,3 +107,46 @@ def test_prime_cubes_duplicate_support_cube_pinned():
     assert k.prime_cubes() == frozenset({0b111})
     # The cached result is stable across calls.
     assert k.prime_cubes() is k.prime_cubes()
+
+
+def _pairwise_primes(cubes):
+    """Reference: a cube is prime iff no other cube's support contains it."""
+    return frozenset(
+        c for c in cubes if not any(d != c and d & c == c for d in cubes)
+    )
+
+
+def _cube_sets(max_n=10):
+    def forms(n):
+        full = (1 << (1 << n)) - 1
+        sparse = st.frozensets(st.integers(0, (1 << n) - 1), max_size=12)
+        dense = st.integers(0, full).map(lambda coeffs: frozenset(bitops.iter_bits(coeffs)))
+        return st.tuples(st.just(n), st.one_of(sparse, dense))
+
+    return st.integers(0, max_n).flatmap(forms)
+
+
+@given(_cube_sets())
+def test_sweep_primes_equal_pairwise_reference(form):
+    n, cubes = form
+    assert Grm(n, 0, cubes).prime_cubes() == _pairwise_primes(cubes)
+
+
+def test_sweep_primes_on_edge_forms():
+    for n in range(11):
+        assert Grm(n, 0, []).prime_cubes() == frozenset()
+        assert Grm(n, 0, [0]).prime_cubes() == {0}
+        everything = Grm.from_coefficients(n, 0, (1 << (1 << n)) - 1)
+        assert everything.prime_cubes() == {(1 << n) - 1}
+
+
+def test_sweep_primes_on_wide_sparse_forms():
+    rng = random.Random(20)
+    for n in (20, 22, 24):
+        for _ in range(2):
+            tops = [rng.getrandbits(n) for _ in range(6)]
+            # Sub-cubes of the tops (some prime, most dominated) and a few
+            # unrelated cubes.
+            subs = [t & rng.getrandbits(n) for t in tops for _ in range(3)]
+            cubes = frozenset(tops + subs + [rng.getrandbits(n) for _ in range(4)])
+            assert Grm(n, 0, cubes).prime_cubes() == _pairwise_primes(cubes)

@@ -4,8 +4,10 @@ import random
 
 from hypothesis import given, strategies as st
 
+from repro.boolfunc.random_gen import random_sop, random_symmetric, random_with_planted_symmetry
 from repro.boolfunc.transform import NpnTransform
 from repro.boolfunc.truthtable import TruthTable
+from repro.core import sensitivity as sens
 from repro.core import signatures as sigs
 from repro.core.polarity import decide_polarity_primary
 from repro.grm.forms import Grm
@@ -104,3 +106,72 @@ def test_wd_counts_weight_pair_multiplicity():
     sig = sigs.function_signature(f, _canonical_grm(f))
     assert sig.wd == (((2, 2), 3),)
     assert sig.fw == 4
+
+
+def _refine_every_family(f, grm, families, use_incidence):
+    """Reference: every selected family refines, in the refinement order,
+    whether or not the partition is already discrete."""
+    part = Partition(f.n)
+    v = sigs.variable_signatures(f, grm)
+    infl = sens.influence_vector(f)
+    cols = sens.sensitivity_columns(f)
+    inc = grm.incidence_matrix()
+    keys = {
+        "weights": lambda i: v.weight_pairs[i],
+        "influence": lambda i: infl[i],
+        "sensitivity": lambda i: cols[i],
+        "vic": lambda i: (v.fvc[i], v.vic_columns[i]),
+        "primes": lambda i: (v.pcv[i], v.pcvic_columns[i]),
+    }
+    for family in ("weights", "influence", "sensitivity", "vic", "primes"):
+        if family in families:
+            part.refine(keys[family])
+    if "inc" in families:
+        part.refine(lambda i: v.finc[i])
+        for _ in range(10**9 if use_incidence else 1):
+            snapshot = [tuple(b) for b in part.blocks]
+            if not part.refine(
+                lambda i: tuple(
+                    tuple(sorted(inc[i][w] for w in block if w != i)) for block in snapshot
+                )
+            ):
+                break
+    return part.blocks
+
+
+def test_refine_equals_every_family_in_order():
+    rng = random.Random(8)
+    subsets = [
+        tuple(fam for k, fam in enumerate(sigs.DEFAULT_FAMILIES) if (mask >> k) & 1)
+        for mask in range(1 << len(sigs.DEFAULT_FAMILIES))
+    ]
+    for n in range(1, 9):
+        functions = [
+            TruthTable.random(n, rng),
+            random_sop(n, 3, rng),
+            random_symmetric(n, rng) if n > 1 else TruthTable.var(1, 0),
+        ]
+        if n > 1:
+            functions.append(random_with_planted_symmetry(n, (0, n - 1), "NE", rng))
+        for f in functions:
+            grm = Grm.from_truthtable(f, rng.getrandbits(n))
+            for families in subsets:
+                for use_incidence in (True, False):
+                    got = sigs.refine_partition_with_grm(
+                        Partition(n), f, grm,
+                        use_incidence=use_incidence, signature_families=families,
+                    )
+                    want = _refine_every_family(f, grm, families, use_incidence)
+                    assert got.blocks == want, (f, families, use_incidence)
+
+
+def test_refine_skips_grm_columns_once_weights_split_everything(monkeypatch):
+    f = TruthTable(5, 0xED40DC4D)
+    assert len({sigs.weight_pair(f, i) for i in range(5)}) == 5
+
+    def boom(*args, **kwargs):
+        raise AssertionError("GRM columns built for a discrete partition")
+
+    monkeypatch.setattr(sigs, "variable_signatures", boom)
+    part = sigs.refine_partition_with_grm(Partition(5), f, _canonical_grm(f))
+    assert part.is_discrete()

@@ -8,6 +8,7 @@ concurrent-reader safety across atomic flushes, engine warm starts,
 and store-backed library binding parity with the linear-scan baseline.
 """
 
+import errno
 import json
 import threading
 from pathlib import Path
@@ -25,8 +26,9 @@ from repro.engine import (
     store_lookup,
 )
 from repro.store import ClassStore, StoreCorruptionError, StoreError, StoreRecord
+from repro.store import shard as shard_mod
 from repro.store.records import encode_prekey
-from repro.store.shard import write_shard
+from repro.store.shard import load_shard, write_shard
 from repro.testing import corpus as corpus_mod
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -308,6 +310,46 @@ class TestCorruption:
         again = ClassStore(path, create=False)
         assert again.verify() == 3
         assert again.get(3, canon_f).meta == {"v": 2}
+
+
+class TestSegmentWrites:
+    def test_failed_fsync_leaves_no_staged_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "s"
+        store = ClassStore(path, num_shards=1)
+        add_function(store, TruthTable(3, 0xE8))
+        store.flush()
+        before = segments_of(path)[0].read_bytes()
+        add_function(store, TruthTable(3, 0x96))
+
+        def no_space(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(shard_mod.os, "fsync", no_space)
+            with pytest.raises(OSError) as info:
+                store.flush()
+        assert info.value.errno == errno.ENOSPC
+        shard_dir = path / "shards"
+        assert not [p.name for p in shard_dir.iterdir() if ".tmp-" in p.name]
+        assert segments_of(path)[0].read_bytes() == before
+        assert ClassStore(path, create=False).verify() == 1
+
+        assert store.flush() == 1  # the dirty shard is retried
+        assert ClassStore(path, create=False).verify() == 2
+
+    def test_empty_segment_loads(self, tmp_path):
+        write_shard(tmp_path, 3, [])
+        assert load_shard(tmp_path, 3) == []
+
+    def test_nonempty_segment_bytes_unchanged(self, tmp_path):
+        path = populated_store(tmp_path)
+        records = list(ClassStore(path, create=False).records())[:5]
+        write_shard(tmp_path, 0, records)
+        body = ("\n".join(r.to_line() for r in records) + "\n").encode("utf-8")
+        footer = {"footer": shard_mod.FOOTER_VERSION, "count": 5, "crc": shard_mod._crc_hex(body)}
+        want = body + (json.dumps(footer, sort_keys=True) + "\n").encode("utf-8")
+        assert (tmp_path / shard_mod.segment_name(0)).read_bytes() == want
+        assert load_shard(tmp_path, 0) == records
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.baselines.naive_symmetry import all_pair_symmetries_naive
 from repro.boolfunc import ops
 from repro.boolfunc.random_gen import random_symmetric, random_with_planted_symmetry
 from repro.boolfunc.truthtable import TruthTable
@@ -231,3 +232,20 @@ def test_positive_symmetric_groups_mixed():
     grm = Grm.from_truthtable(f, 0b111)
     groups = sym.positive_symmetric_groups([grm], 3)
     assert sorted(tuple(sorted(g)) for g in groups) == [(0, 1), (2,)]
+
+
+def test_packed_pair_checks_equal_naive_cofactors():
+    rng = random.Random(55)
+    for n in range(2, 9):
+        functions = [TruthTable.random(n, rng) for _ in range(3)]
+        functions.append(random_symmetric(n, rng))
+        for kind in sym.ALL_SYMMETRY_TYPES:
+            pair = tuple(sorted(rng.sample(range(n), 2)))
+            functions.append(random_with_planted_symmetry(n, pair, kind, rng))
+        for f in functions:
+            for (i, j), kinds in all_pair_symmetries_naive(f).items():
+                assert sym.pair_symmetries(f, i, j) == kinds, (f, i, j)
+                assert sym.pair_symmetries(f, j, i) == kinds, (f, j, i)
+                assert sym.has_any_symmetry(f, i, j) == bool(kinds)
+                for kind in sym.ALL_SYMMETRY_TYPES:
+                    assert sym.has_symmetry(f, i, j, kind) == (kind in kinds)
